@@ -1,638 +1,150 @@
-//! Engine-throughput scaling bench (extension; not a paper figure).
+//! Engine-throughput bench (extension; not a paper figure).
 //!
-//! Measures the discrete-event engine's dispatch rate on the chaos
-//! workload mix — serial event loop vs the sharded engine at 1/2/4/8
-//! shards — and *proves* the determinism contract on the same runs: every
-//! sharded run must reproduce the serial run's report, telemetry, fault
-//! log, and journal byte-for-byte before its timing counts.
+//! Measures the discrete-event engine's dispatch rate on the chaos workload
+//! mix: the quick (or full) `fault_sweep` chaos point (crash 2/min, slowdown
+//! 4/min, seed 42) — collect-heavy (1 Hz × 8 servers), fault-heavy and
+//! retry-heavy — plus three scaled topologies of 64, 256 and 1024 servers
+//! with proportionally scaled workload mixes (same per-server load, quick
+//! horizon). The topology, not the duration, is the scaled dimension: it
+//! grows the number of co-running tasks whose completions every contention
+//! change re-times.
 //!
-//! The base point is the quick `fault_sweep` chaos point (crash 2/min,
-//! slowdown 4/min, seed 42): collect-heavy (1 Hz × 8 servers), fault-heavy
-//! (cross-shard crash/slowdown traffic), and journaled in CI — the least
-//! flattering workload for a sharded engine, which is exactly why it is
-//! the one we gate on.
-//!
-//! On top of it sit three scaled topologies — 64, 256 and 1024 servers
-//! with proportionally scaled workload mixes (same per-server load) —
-//! measured at 4 shards across worker-thread counts {1, 2, 4}. The scaled
-//! points
-//! always use the quick horizon: the topology, not the duration, is the
-//! scaled dimension, and it is the topology that feeds the worker pool
-//! enough heap work to matter. `threaded_speedup_4` (the CI-gated number)
-//! is the best speedup any measured thread count reaches over serial at
-//! 4 shards on the 64-server point; the threads curve itself is emitted
-//! per point into `BENCH_repro.json`. Scaled equivalence is artifact-level
-//! (report, telemetry, fault log) — journal-byte equivalence across shard
-//! *and* thread counts is pinned on the 8-server point here and in
-//! `tests/engine_shard_equiv.rs`, and the journal merge path is
-//! partition-driven, not topology-driven.
+//! Each leg runs [`REPS`] times and reports the median wall time. Event
+//! counts are exact and host-independent; requests/s is the number to
+//! compare across engine versions, since events/s also moves with how many
+//! events the engine needs per request.
 
-use crate::fault_sweep::{chaos_run_scaled, chaos_run_sharded, SweepPoint};
+use crate::fault_sweep::{chaos_run_scaled, SweepPoint};
 use crate::registry::{ExperimentResult, RunOpts};
-use obs::journal::MemoryJournal;
 use obs::Obs;
 use simcore::table::{fnum, TextTable};
-use simcore::{BarrierStats, SyncProfile, WIDTH_BUCKETS};
-
-/// Shard counts on the scaling curve.
-pub const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Worker-thread counts on the scaled points' threads curve (at 4 shards).
-pub const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Scaled bench topologies as `(scale, servers)`: the paper's 8-node
-/// testbed multiplied, workload mix scaled along. The 1024-server leg is
-/// where per-epoch rendezvous cost used to drown the worker pool — it
-/// exists to show the adaptive-lookahead epochs holding up past 256.
+/// testbed multiplied, workload mix scaled along.
 pub const SCALED_TOPOLOGIES: [(usize, usize); 3] = [(8, 64), (32, 256), (128, 1024)];
+
+/// Timed runs per leg; the median wall time is reported.
+pub const REPS: usize = 3;
 
 /// Chaos seed pinned for the bench (same as the CI chaos-smoke golden).
 const SEED: u64 = 42;
 
-fn bench_point() -> SweepPoint {
-    SweepPoint {
-        crash_per_min: 2.0,
-        slowdown_per_min: 4.0,
-    }
+const POINT: SweepPoint = SweepPoint {
+    crash_per_min: 2.0,
+    slowdown_per_min: 4.0,
+};
+
+/// One measured leg.
+#[derive(Debug, Clone)]
+pub struct EngineLeg {
+    /// Cluster size.
+    pub servers: usize,
+    /// Events dispatched by one run.
+    pub events: u64,
+    /// Requests completed by one run.
+    pub completions: u64,
+    /// Median wall seconds of one run.
+    pub wall_s: f64,
+    /// `events / wall_s`.
+    pub events_per_s: f64,
+    /// `completions / wall_s`.
+    pub requests_per_s: f64,
 }
 
-/// Scaling-curve measurement plus the serial-equivalence verdict.
+/// The base chaos point plus the scaled topologies.
 #[derive(Debug, Clone)]
 pub struct EngineThroughput {
-    /// Shard counts measured, in [`SHARD_COUNTS`] order.
-    pub shard_counts: Vec<usize>,
-    /// Events dispatched by one run (identical across engines).
-    pub events: u64,
-    /// Requests completed by one run (identical across engines).
-    pub completions: u64,
-    /// Events/s per shard count, parallel to `shard_counts`.
-    pub events_per_s: Vec<f64>,
-    /// Events/s of the retained serial engine.
-    pub serial_events_per_s: f64,
-    /// Completed requests/s at the best 4-shard wall time.
-    pub requests_per_s: f64,
-    /// `events_per_s[shards=4] / serial_events_per_s`.
-    pub speedup_4: f64,
-    /// Whether every sharded run byte-matched the serial run: journal-level
-    /// on the base point (report, telemetry, fault log + summary, journal
-    /// bytes across shard counts), artifact-level on every scaled topology
-    /// (4 shards × every thread count).
-    pub bit_identical_vs_serial: bool,
-    /// Drain epochs (worker rendezvous when threaded) of the 4-shard run.
-    pub epochs_4: u64,
-    /// Delivery windows served by the 4-shard run; the adaptive lookahead
-    /// batches several per epoch.
-    pub windows_4: u64,
-    /// Events delivered through windows in the 4-shard run (equals
-    /// `events` — every dispatch passes through a window).
-    pub delivered_4: u64,
-    /// `delivered_4 / epochs_4` — events amortized per rendezvous, the
-    /// quantity the adaptive lookahead exists to maximize.
-    pub events_per_epoch_4: f64,
-    /// Adaptive epoch-width histogram of the 4-shard run, log2-bucketed in
-    /// milliseconds ([`WIDTH_BUCKETS`] buckets).
-    pub width_hist_4: Vec<u64>,
-    /// Mean adaptive epoch width of the 4-shard run, milliseconds.
-    pub mean_width_ms_4: f64,
-    /// Cross-shard events exchanged at barriers in the 4-shard run.
-    pub crossed_4: u64,
-    /// Cross-shard events published directly past the window bound in the
-    /// 4-shard run (subset of `crossed_4`).
-    pub published_4: u64,
-    /// Worker threads available to the sharded collect path (and the upper
-    /// bound on useful shard-worker parallelism on this host).
-    pub threads: usize,
-    /// The scaled topologies' measurements, in [`SCALED_TOPOLOGIES`] order.
-    pub scaled: Vec<ScaledPoint>,
-    /// Best speedup over serial that any measured thread count reaches at
-    /// 4 shards on the 64-server point — the CI-gated scaling number.
-    pub threaded_speedup_4: f64,
+    /// The 8-server chaos point at the requested horizon.
+    pub base: EngineLeg,
+    /// The scaled topologies, in [`SCALED_TOPOLOGIES`] order.
+    pub scaled: Vec<EngineLeg>,
 }
 
-/// One scaled topology's measurement: serial vs 4 shards × thread counts.
-#[derive(Debug, Clone)]
-pub struct ScaledPoint {
-    /// Cluster size (8 × scale).
-    pub servers: usize,
-    /// Topology/workload multiplier over the paper testbed.
-    pub scale: usize,
-    /// Events dispatched by the serial leg. Every throughput ratio below
-    /// divides by this same count — see `events_by_threads`.
-    pub events: u64,
-    /// Events dispatched by each threaded leg, parallel to
-    /// [`THREAD_COUNTS`]. Pinned equal to `events` (asserted at measure
-    /// time): a speedup is only meaningful when both sides of the ratio
-    /// did the same work.
-    pub events_by_threads: Vec<u64>,
-    /// Events/s of the serial engine.
-    pub serial_events_per_s: f64,
-    /// Events/s at 4 shards, parallel to [`THREAD_COUNTS`].
-    pub events_per_s_by_threads: Vec<f64>,
-    /// Speedup over serial, parallel to [`THREAD_COUNTS`].
-    pub speedup_by_threads: Vec<f64>,
-    /// Drain epochs of the 4-shard run (thread-invariant by the
-    /// determinism contract).
-    pub epochs: u64,
-    /// Delivery windows of the 4-shard run (thread-invariant).
-    pub windows: u64,
-    /// Events amortized per rendezvous at this topology.
-    pub events_per_epoch: f64,
-    /// Fraction of the best 4-thread leg's wall time spent inside
-    /// coordinator/worker rendezvous rounds.
-    pub barrier_wait_share_t4: f64,
-    /// Whether every 4-shard × thread-count run byte-matched the serial
-    /// run's report, telemetry and fault-log artifacts.
-    pub bit_identical_vs_serial: bool,
-}
-
-/// One journaled chaos run's byte-stable artifact set.
-fn run_artifacts(shards: Option<usize>, quick: bool) -> (String, String, String, String, Vec<u8>) {
-    let spec = crate::journal_runs::fault_sweep_spec(bench_point(), SEED, quick);
-    let journal = MemoryJournal::in_memory(&spec, Some(crate::journal_runs::CHECKPOINT_EVERY_US));
-    let bundle = Obs::telemetry_only()
-        .with_fault_log()
-        .with_journal(Box::new(journal));
-    let (out, post) = chaos_run_sharded(bench_point(), SEED, quick, bundle, shards);
-    let bytes = post
-        .journal
-        .as_ref()
-        .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
-        .map(|j| j.bytes().to_vec())
-        .expect("in-memory journal survives the run");
-    (
-        out.report.render_json(),
-        post.telemetry
-            .as_ref()
-            .map(|t| t.to_jsonl())
-            .unwrap_or_default(),
-        out.faults.to_jsonl(),
-        out.faults.summary(),
-        bytes,
-    )
-}
-
-/// One scaled (journal-free) chaos run's byte-stable artifact set: report
-/// JSON, telemetry JSONL, fault JSONL. Always the quick horizon.
-fn scaled_artifacts(scale: usize, shards: Option<usize>, threads: usize) -> [String; 3] {
-    let (out, post) = chaos_run_scaled(
-        bench_point(),
-        SEED,
-        true,
-        Obs::telemetry_only().with_fault_log(),
-        shards,
-        threads,
-        scale,
-    );
-    [
-        out.report.render_json(),
-        post.telemetry
-            .as_ref()
-            .map(|t| t.to_jsonl())
-            .unwrap_or_default(),
-        out.faults.to_jsonl(),
-    ]
-}
-
-/// Timed scaled run (no observability artifacts rendered): wall seconds,
-/// the dispatched-event count, and the run's barrier/rendezvous profiles
-/// (`None` on the serial engine).
-fn timed_scaled_run(
-    scale: usize,
-    shards: Option<usize>,
-    threads: usize,
-) -> (f64, u64, Option<BarrierStats>, Option<SyncProfile>) {
-    let t0 = std::time::Instant::now();
-    let (out, _) = chaos_run_scaled(
-        bench_point(),
-        SEED,
-        true,
-        Obs::telemetry_only().with_fault_log(),
-        shards,
-        threads,
-        scale,
-    );
-    (
-        t0.elapsed().as_secs_f64(),
-        out.events_processed,
-        out.barrier,
-        out.sync,
-    )
-}
-
-/// Measure one scaled topology: artifact equivalence first (serial vs
-/// 4 shards at every thread count), then interleaved best-of-2 timing over
-/// {serial} ∪ {4 shards × threads}. Every leg's event count is pinned to
-/// the serial leg's (a speedup over differing work would be meaningless —
-/// the determinism contract makes a mismatch a hard bug, so it panics).
-/// The CI-gated points (64 and 256 servers) retry under a wall cap until
-/// the 4-thread speedup clears the gate (1.0× — threads must at least not
-/// lose to serial) — the same additive-noise argument as the base point —
-/// except in debug builds and on single-core hosts, where the gate is
-/// informational.
-fn measure_scaled(scale: usize, servers: usize) -> ScaledPoint {
-    let reference = scaled_artifacts(scale, None, 1);
-    let mut bit_identical_vs_serial = true;
-    for &t in &THREAD_COUNTS {
-        bit_identical_vs_serial &= scaled_artifacts(scale, Some(4), t) == reference;
+/// Time [`REPS`] runs of one leg and keep the median.
+fn measure_leg(quick: bool, scale: usize) -> EngineLeg {
+    let mut walls = Vec::with_capacity(REPS);
+    let mut counts = (0, 0);
+    for _ in 0..REPS {
+        let t0 = std::time::Instant::now();
+        let (out, _) = chaos_run_scaled(
+            POINT,
+            SEED,
+            quick,
+            Obs::telemetry_only().with_fault_log(),
+            scale,
+        );
+        walls.push(t0.elapsed().as_secs_f64());
+        let completions = out.report.workloads.iter().map(|w| w.completions).sum();
+        counts = (out.events_processed, completions);
     }
-
-    const RETRY_WALL_CAP_S: f64 = 20.0;
-    const GATE: f64 = 1.0;
-    let t4 = THREAD_COUNTS
-        .iter()
-        .position(|&t| t == 4)
-        .expect("4 threads in curve");
-    let gated = (servers == 64 || servers == 256)
-        && !cfg!(debug_assertions)
-        && simcore::par::available_workers() >= 2;
-    let bench_t0 = std::time::Instant::now();
-    let mut serial_s = f64::INFINITY;
-    let mut threaded_s = [f64::INFINITY; THREAD_COUNTS.len()];
-    let mut events = 0u64;
-    let mut events_by_threads = vec![0u64; THREAD_COUNTS.len()];
-    let mut barrier = BarrierStats::default();
-    let mut wait_share_t4 = 0.0;
-    loop {
-        for _ in 0..2 {
-            let (s, ev, _, _) = timed_scaled_run(scale, None, 1);
-            serial_s = serial_s.min(s);
-            events = ev;
-            for (i, &t) in THREAD_COUNTS.iter().enumerate() {
-                let (s, ev, b, sync) = timed_scaled_run(scale, Some(4), t);
-                events_by_threads[i] = ev;
-                assert_eq!(
-                    ev, events,
-                    "{servers}-server t={t} leg dispatched a different event \
-                     count than serial — speedups would compare unequal work"
-                );
-                if s < threaded_s[i] {
-                    threaded_s[i] = s;
-                    if i == t4 {
-                        wait_share_t4 = sync.map(|p| p.wait_share(s)).unwrap_or(0.0);
-                    }
-                }
-                barrier = b.expect("sharded run has barrier stats");
-            }
-        }
-        if !gated
-            || serial_s / threaded_s[t4] >= GATE
-            || bench_t0.elapsed().as_secs_f64() > RETRY_WALL_CAP_S
-        {
-            break;
-        }
-        std::thread::sleep(std::time::Duration::from_millis(300));
-    }
-
-    let serial_events_per_s = events as f64 / serial_s.max(1e-12);
-    let events_per_s_by_threads: Vec<f64> = threaded_s
-        .iter()
-        .map(|s| events as f64 / s.max(1e-12))
-        .collect();
-    let speedup_by_threads: Vec<f64> = events_per_s_by_threads
-        .iter()
-        .map(|eps| eps / serial_events_per_s)
-        .collect();
-    ScaledPoint {
-        servers,
-        scale,
+    let wall_s = simcore::percentile(&walls, 50.0).max(1e-12);
+    let (events, completions) = counts;
+    EngineLeg {
+        servers: 8 * scale,
         events,
-        events_by_threads,
-        serial_events_per_s,
-        events_per_s_by_threads,
-        speedup_by_threads,
-        epochs: barrier.epochs,
-        windows: barrier.windows,
-        events_per_epoch: barrier.events_per_epoch(),
-        barrier_wait_share_t4: wait_share_t4,
-        bit_identical_vs_serial,
+        completions,
+        wall_s,
+        events_per_s: events as f64 / wall_s,
+        requests_per_s: completions as f64 / wall_s,
     }
 }
 
-/// Measure [`EngineThroughput`] — once per process and mode.
-///
-/// `repro` calls this twice on a gated run (the `engine_throughput`
-/// experiment, then the `BENCH_repro.json` section); the second
-/// measurement would repeat the whole retry loop in a process already
-/// heated by the predict/train benches, where the 1–10% single-core
-/// margin is least reproducible. Memoizing makes both consumers report
-/// the one retry-validated measurement and halves the bench wall time.
+/// Measure [`EngineThroughput`] — once per process and mode, so the
+/// experiment table and the `BENCH_repro.json` section report the same runs.
 pub fn engine_throughput(quick: bool) -> EngineThroughput {
     use std::sync::OnceLock;
     static CACHE: [OnceLock<EngineThroughput>; 2] = [OnceLock::new(), OnceLock::new()];
-    CACHE[quick as usize].get_or_init(|| measure(quick)).clone()
-}
-
-/// One full measurement pass behind [`engine_throughput`]'s cache.
-///
-/// Equivalence first: a journaled serial run is byte-compared against a
-/// journaled run at every shard count (the journal comparison subsumes the
-/// WAL record stream; report/telemetry/fault artifacts are the externally
-/// consumed forms). Timing second: interleaved best-of-N rounds over
-/// {serial, 1, 2, 4, 8}, taking each engine's minimum wall time — the
-/// fig. 14 protocol — with the same bounded retry-under-a-wall-cap when
-/// host noise puts the 4-shard time behind serial. Retries are skipped in
-/// debug builds, whose codegen distorts the engines differently.
-fn measure(quick: bool) -> EngineThroughput {
-    let reference = run_artifacts(None, quick);
-    let mut bit_identical_vs_serial = true;
-    for &k in &SHARD_COUNTS {
-        bit_identical_vs_serial &= run_artifacts(Some(k), quick) == reference;
-    }
-
-    const REPS_PER_ROUND: usize = 3;
-    const RETRY_WALL_CAP_S: f64 = 8.0;
-    let bench_t0 = std::time::Instant::now();
-    let mut serial_s = f64::INFINITY;
-    let mut shard_s = [f64::INFINITY; SHARD_COUNTS.len()];
-    let mut events = 0u64;
-    let mut completions = 0u64;
-    let mut barrier_4 = BarrierStats::default();
-    loop {
-        for _ in 0..REPS_PER_ROUND {
-            let t0 = std::time::Instant::now();
-            let (out, _) = chaos_run_sharded(
-                bench_point(),
-                SEED,
-                quick,
-                Obs::telemetry_only().with_fault_log(),
-                None,
-            );
-            serial_s = serial_s.min(t0.elapsed().as_secs_f64());
-            events = out.events_processed;
-            completions = out.report.workloads.iter().map(|w| w.completions).sum();
-            for (i, &k) in SHARD_COUNTS.iter().enumerate() {
-                let t0 = std::time::Instant::now();
-                let (out, _) = chaos_run_sharded(
-                    bench_point(),
-                    SEED,
-                    quick,
-                    Obs::telemetry_only().with_fault_log(),
-                    Some(k),
-                );
-                shard_s[i] = shard_s[i].min(t0.elapsed().as_secs_f64());
-                if k == 4 {
-                    barrier_4 = out.barrier.expect("sharded run has barrier stats");
-                }
-            }
-        }
-        let four = SHARD_COUNTS
-            .iter()
-            .position(|&k| k == 4)
-            .expect("4 in curve");
-        if shard_s[four] <= serial_s
-            || cfg!(debug_assertions)
-            || bench_t0.elapsed().as_secs_f64() > RETRY_WALL_CAP_S
-        {
-            break;
-        }
-        // Host-noise backoff, as in fig14: noise is strictly additive, so
-        // more rounds only sharpen both minima; a genuine regression never
-        // passes no matter how long we wait.
-        std::thread::sleep(std::time::Duration::from_millis(300));
-    }
-
-    let four = SHARD_COUNTS
-        .iter()
-        .position(|&k| k == 4)
-        .expect("4 in curve");
-    let serial_events_per_s = events as f64 / serial_s.max(1e-12);
-    let events_per_s: Vec<f64> = shard_s
-        .iter()
-        .map(|s| events as f64 / s.max(1e-12))
-        .collect();
-
-    let scaled: Vec<ScaledPoint> = SCALED_TOPOLOGIES
-        .iter()
-        .map(|&(scale, servers)| measure_scaled(scale, servers))
-        .collect();
-    let threaded_speedup_4 = scaled
-        .iter()
-        .find(|p| p.servers == 64)
-        .map(|p| p.speedup_by_threads.iter().fold(f64::NAN, |a, &b| a.max(b)))
-        .unwrap_or(f64::NAN);
-    // The headline verdict covers every equivalence leg: journal-level on
-    // the base point, artifact-level on the scaled topologies.
-    let bit_identical_vs_serial =
-        bit_identical_vs_serial && scaled.iter().all(|p| p.bit_identical_vs_serial);
-
-    EngineThroughput {
-        shard_counts: SHARD_COUNTS.to_vec(),
-        events,
-        completions,
-        serial_events_per_s,
-        requests_per_s: completions as f64 / shard_s[four].max(1e-12),
-        speedup_4: events_per_s[four] / serial_events_per_s,
-        events_per_s,
-        bit_identical_vs_serial,
-        epochs_4: barrier_4.epochs,
-        windows_4: barrier_4.windows,
-        delivered_4: barrier_4.delivered,
-        events_per_epoch_4: barrier_4.events_per_epoch(),
-        width_hist_4: barrier_4.width_hist.to_vec(),
-        mean_width_ms_4: if barrier_4.epochs == 0 {
-            0.0
-        } else {
-            barrier_4.width_sum_ms as f64 / barrier_4.epochs as f64
-        },
-        crossed_4: barrier_4.crossed,
-        published_4: barrier_4.published,
-        threads: simcore::par::available_workers(),
-        scaled,
-        threaded_speedup_4,
-    }
+    CACHE[quick as usize]
+        .get_or_init(|| EngineThroughput {
+            base: measure_leg(quick, 1),
+            scaled: SCALED_TOPOLOGIES
+                .iter()
+                .map(|&(scale, _)| measure_leg(true, scale))
+                .collect(),
+        })
+        .clone()
 }
 
 /// Entry point.
 pub fn run(opts: &RunOpts) -> ExperimentResult {
     let mut result = ExperimentResult::new(
         "engine_throughput",
-        "sharded event-engine throughput & serial equivalence (extension)",
+        "event-engine throughput on the chaos point (extension)",
     );
     let tp = engine_throughput(opts.quick);
-    let mut t = TextTable::new(vec!["engine", "events/s", "speedup"]);
-    t.row(vec![
-        "serial".into(),
-        fnum(tp.serial_events_per_s, 0),
-        fnum(1.0, 2),
-    ]);
-    for (k, eps) in tp.shard_counts.iter().zip(&tp.events_per_s) {
-        t.row(vec![
-            format!("{k} shard(s)"),
-            fnum(*eps, 0),
-            fnum(eps / tp.serial_events_per_s, 2),
-        ]);
-    }
-    result.table(format!(
-        "engine scaling on the chaos point, {} events/run, {} thread(s)\n{}",
-        tp.events,
-        tp.threads,
-        t.render()
-    ));
-    let mut st = TextTable::new(vec![
+    let mut t = TextTable::new(vec![
         "servers",
         "events",
-        "serial ev/s",
-        "t=1 ev/s",
-        "t=2 ev/s",
-        "t=4 ev/s",
-        "best speedup",
-        "ev/epoch",
-        "wait share t4",
-        "bit-identical",
+        "completions",
+        "wall ms",
+        "events/s",
+        "requests/s",
     ]);
-    for p in &tp.scaled {
-        let best = p.speedup_by_threads.iter().fold(f64::NAN, |a, &b| a.max(b));
-        st.row(vec![
-            p.servers.to_string(),
-            p.events.to_string(),
-            fnum(p.serial_events_per_s, 0),
-            fnum(p.events_per_s_by_threads[0], 0),
-            fnum(p.events_per_s_by_threads[1], 0),
-            fnum(p.events_per_s_by_threads[2], 0),
-            fnum(best, 2),
-            fnum(p.events_per_epoch, 0),
-            fnum(p.barrier_wait_share_t4, 3),
-            p.bit_identical_vs_serial.to_string(),
+    for leg in std::iter::once(&tp.base).chain(&tp.scaled) {
+        t.row(vec![
+            leg.servers.to_string(),
+            leg.events.to_string(),
+            leg.completions.to_string(),
+            fnum(leg.wall_s * 1e3, 1),
+            fnum(leg.events_per_s, 0),
+            fnum(leg.requests_per_s, 0),
         ]);
     }
     result.table(format!(
-        "threaded scaling at 4 shards on scaled topologies (quick horizon, \
-         per-server load held constant; every leg pinned to the serial \
-         leg's event count)\n{}",
-        st.render()
-    ));
-    result.note(format!(
-        "4-shard speedup {:.2}x over serial; every shard count reproduced the \
-         serial run bit-for-bit: {} (report, telemetry, fault log, journal)",
-        tp.speedup_4, tp.bit_identical_vs_serial
-    ));
-    result.note(format!(
-        "threaded_speedup_4 (best thread count, 4 shards, 64 servers): \
-         {:.2}x over serial{}",
-        tp.threaded_speedup_4,
-        if tp.threads < 2 {
-            " — single-core host, worker threads cannot add wall-clock \
-             (the CI gate applies on multi-core runners)"
-        } else {
-            ""
-        }
-    ));
-    result.note(format!(
-        "4-shard barrier protocol: {} drain epochs serving {} windows \
-         ({:.0} events/epoch, mean adaptive width {:.1} ms), {} cross-shard \
-         events ({} published past the window bound, {} closed the window \
-         early)",
-        tp.epochs_4,
-        tp.windows_4,
-        tp.events_per_epoch_4,
-        tp.mean_width_ms_4,
-        tp.crossed_4,
-        tp.published_4,
-        tp.crossed_4 - tp.published_4
-    ));
-    result.note(format!(
-        "adaptive epoch-width histogram (log2 ms buckets 0..{}): {:?}",
-        WIDTH_BUCKETS - 1,
-        tp.width_hist_4
+        "serial engine on the chaos point (median of {REPS} runs; scaled \
+         topologies at the quick horizon, per-server load held constant)\n{}",
+        t.render()
     ));
     result
-        .metric("events", tp.events as f64)
-        .metric("events_per_s_serial", tp.serial_events_per_s)
-        .metric("requests_per_s", tp.requests_per_s)
-        .metric("speedup_4", tp.speedup_4)
-        .metric(
-            "bit_identical_vs_serial",
-            if tp.bit_identical_vs_serial { 1.0 } else { 0.0 },
-        )
-        .metric("epochs_4", tp.epochs_4 as f64)
-        .metric("windows_4", tp.windows_4 as f64)
-        .metric("events_per_epoch_4", tp.events_per_epoch_4)
-        .metric("mean_width_ms_4", tp.mean_width_ms_4)
-        .metric("crossed_4", tp.crossed_4 as f64)
-        .metric("published_4", tp.published_4 as f64)
-        .metric("threads", tp.threads as f64)
-        .metric("threaded_speedup_4", tp.threaded_speedup_4);
-    for (k, eps) in tp.shard_counts.iter().zip(&tp.events_per_s) {
-        result.metric(format!("events_per_s_{k}"), *eps);
-    }
-    for p in &tp.scaled {
-        let n = p.servers;
+        .metric("events", tp.base.events as f64)
+        .metric("events_per_s_serial", tp.base.events_per_s)
+        .metric("requests_per_s", tp.base.requests_per_s);
+    for leg in &tp.scaled {
+        let n = leg.servers;
         result
-            .metric(format!("events_{n}srv"), p.events as f64)
-            .metric(format!("events_per_s_{n}srv_serial"), p.serial_events_per_s)
-            .metric(format!("events_per_epoch_{n}srv"), p.events_per_epoch)
-            .metric(
-                format!("barrier_wait_share_{n}srv_t4"),
-                p.barrier_wait_share_t4,
-            )
-            .metric(
-                format!("bit_identical_{n}srv"),
-                if p.bit_identical_vs_serial { 1.0 } else { 0.0 },
-            );
-        for ((t, sp), ev) in THREAD_COUNTS
-            .iter()
-            .zip(&p.speedup_by_threads)
-            .zip(&p.events_by_threads)
-        {
-            result
-                .metric(format!("speedup_{n}srv_t{t}"), *sp)
-                .metric(format!("events_{n}srv_t{t}"), *ev as f64);
-        }
+            .metric(format!("events_{n}srv"), leg.events as f64)
+            .metric(format!("events_per_s_{n}srv_serial"), leg.events_per_s)
+            .metric(format!("requests_per_s_{n}srv"), leg.requests_per_s);
     }
     result
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn sharded_chaos_point_matches_serial_artifacts() {
-        // One shard count here keeps the debug-build test fast; the full
-        // {1,2,4,8} × seeds × faults matrix lives in
-        // tests/engine_shard_equiv.rs.
-        let serial = run_artifacts(None, true);
-        let sharded = run_artifacts(Some(4), true);
-        assert_eq!(serial.0, sharded.0, "report JSON must byte-match");
-        assert_eq!(serial.1, sharded.1, "telemetry JSONL must byte-match");
-        assert_eq!(serial.2, sharded.2, "fault JSONL must byte-match");
-        assert_eq!(serial.3, sharded.3, "fault summary must byte-match");
-        assert_eq!(serial.4, sharded.4, "journal bytes must byte-match");
-    }
-
-    #[test]
-    fn scaled_topology_threaded_runs_match_serial_artifacts() {
-        // One 64-server leg at 4 shards × 4 threads; the full thread curve
-        // runs inside measure_scaled on bench runs. Scaled equivalence is
-        // artifact-level (report/telemetry/faults) by design — see the
-        // module docs.
-        let reference = scaled_artifacts(8, None, 1);
-        let threaded = scaled_artifacts(8, Some(4), 4);
-        assert_eq!(reference[0], threaded[0], "64-server report JSON");
-        assert_eq!(reference[1], threaded[1], "64-server telemetry JSONL");
-        assert_eq!(reference[2], threaded[2], "64-server fault JSONL");
-    }
-
-    #[test]
-    fn sharded_chaos_point_reports_barrier_activity() {
-        let (out, _) = chaos_run_sharded(
-            bench_point(),
-            SEED,
-            true,
-            Obs::telemetry_only().with_fault_log(),
-            Some(4),
-        );
-        let b = out.barrier.expect("sharded run exposes barrier stats");
-        assert!(b.epochs > 0, "a 60 s run opens many windows");
-        assert!(b.windows >= b.epochs, "every epoch serves >= 1 window");
-        assert_eq!(
-            b.delivered, out.events_processed,
-            "every dispatched event passes through a window"
-        );
-        assert!(out.events_processed > 0);
-        assert!(
-            b.crossed == 0 || b.min_slack_us >= 0,
-            "exchanged events must respect the closed window: {b:?}"
-        );
-    }
 }

@@ -245,7 +245,8 @@ pub struct CheckpointState {
     pub retry_rng: [u64; 4],
     /// Fault-injector RNG fingerprint (0 when no injector is installed).
     pub fault_fingerprint: u64,
-    /// Pending events in the simulation queue.
+    /// Live events pending in the simulation queue (every pending event is
+    /// live: re-timed events move in place and cancelled ones leave).
     pub pending_events: u64,
     /// Gateway queue depth.
     pub gateway_depth: u64,
@@ -1031,136 +1032,6 @@ pub fn check_invariants(records: &[JournalRecord]) -> Vec<String> {
     violations
 }
 
-// ----------------------------------------------------------------------
-// Sharded-engine journal support
-// ----------------------------------------------------------------------
-
-/// K-way merge of per-shard record buffers by their globally assigned stamp.
-///
-/// The sharded engine buffers journal records per worker shard during an
-/// epoch, stamping each with a global emission counter, and flushes at
-/// barrier boundaries through this merge. Each per-shard buffer is
-/// stamp-ascending (stamps are assigned in emission order), so merging by
-/// head stamp reconstructs exactly the serial engine's record order — the
-/// property the multi-shard journal invariant tests pin.
-pub fn merge_stamped<T>(streams: Vec<Vec<(u64, T)>>) -> Vec<(u64, T)> {
-    let total: usize = streams.iter().map(Vec::len).sum();
-    let mut iters: Vec<_> = streams
-        .into_iter()
-        .map(|s| s.into_iter().peekable())
-        .collect();
-    let mut out = Vec::with_capacity(total);
-    loop {
-        let mut best: Option<(u64, usize)> = None;
-        for (s, it) in iters.iter_mut().enumerate() {
-            if let Some(&(stamp, _)) = it.peek() {
-                if best.is_none_or(|(b, _)| stamp < b) {
-                    best = Some((stamp, s));
-                }
-            }
-        }
-        let Some((_, s)) = best else { break };
-        out.push(iters[s].next().expect("peeked entry vanished"));
-    }
-    out
-}
-
-/// One shard's slice of a periodic engine checkpoint.
-///
-/// These are side-channel records: they intentionally live *outside* the
-/// journal byte stream, because journal bytes are pinned bit-identical
-/// across every shard count (a per-shard record inside the WAL would encode
-/// the partition). The conformance suite instead checks them for internal
-/// consistency against the partition-independent [`CheckpointState`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardCheckpoint {
-    /// Sim time of the checkpoint instant this slice belongs to.
-    pub at_us: u64,
-    /// This shard's index.
-    pub shard: u32,
-    /// Total shards in the run.
-    pub shards: u32,
-    /// First server (inclusive) homed on this shard.
-    pub servers_lo: u32,
-    /// Last server (exclusive) homed on this shard.
-    pub servers_hi: u32,
-    /// Events pending on this shard (its heap plus outboxed events
-    /// addressed to it).
-    pub pending_events: u64,
-    /// FNV-1a fold of the per-server synthesis RNG states homed here.
-    pub synth_rng_fp: u64,
-    /// Fault applications that landed on servers homed here.
-    pub fault_applications: u64,
-    /// Per-shard fault-application stream fingerprint (see
-    /// `faults::ShardFaultLanes`).
-    pub fault_lane_fp: u64,
-}
-
-/// Structural consistency checks over the per-shard checkpoint records of
-/// one run. Returns human-readable violations (empty = consistent):
-///
-/// * every checkpoint instant has exactly `shards` slices, one per shard,
-///   in shard order;
-/// * the server ranges of each instant partition `[0, num_servers)`;
-/// * per-instant pending-event totals are consistent with the journal's
-///   partition-independent [`CheckpointState::pending_events`] when the
-///   caller provides those totals.
-pub fn shard_checkpoint_violations(
-    records: &[ShardCheckpoint],
-    shards: u32,
-    num_servers: u32,
-    journal_pending: &[(u64, u64)],
-) -> Vec<String> {
-    let mut violations = Vec::new();
-    if !records.len().is_multiple_of(shards as usize) {
-        violations.push(format!(
-            "{} shard-checkpoint records do not tile {} shards",
-            records.len(),
-            shards
-        ));
-        return violations;
-    }
-    for group in records.chunks(shards as usize) {
-        let at = group[0].at_us;
-        let mut next_server = 0u32;
-        for (k, rec) in group.iter().enumerate() {
-            if rec.at_us != at {
-                violations.push(format!(
-                    "instant {at}: slice {k} carries at_us {}",
-                    rec.at_us
-                ));
-            }
-            if rec.shard != k as u32 || rec.shards != shards {
-                violations.push(format!(
-                    "instant {at}: slice {k} labeled shard {}/{}",
-                    rec.shard, rec.shards
-                ));
-            }
-            if rec.servers_lo != next_server {
-                violations.push(format!(
-                    "instant {at}: shard {k} starts at server {} (expected {next_server})",
-                    rec.servers_lo
-                ));
-            }
-            next_server = rec.servers_hi;
-        }
-        if next_server != num_servers {
-            violations.push(format!(
-                "instant {at}: server ranges end at {next_server}, not {num_servers}"
-            ));
-        }
-        let total: u64 = group.iter().map(|r| r.pending_events).sum();
-        if let Some(&(_, expected)) = journal_pending.iter().find(|&&(t, _)| t == at) {
-            if total != expected {
-                violations.push(format!(
-                    "instant {at}: per-shard pending sums to {total}, journal checkpoint says {expected}"
-                ));
-            }
-        }
-    }
-    violations
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1563,75 +1434,5 @@ mod tests {
             Some("file")
         );
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn merge_stamped_reconstructs_global_order() {
-        // Round-robin a stamped sequence across 3 "shards", merge, and
-        // recover the original order.
-        let items: Vec<(u64, u32)> = (0..100u64).map(|s| (s, (s * 31 % 17) as u32)).collect();
-        let mut streams: Vec<Vec<(u64, u32)>> = vec![Vec::new(); 3];
-        for &(stamp, v) in &items {
-            streams[(stamp % 3) as usize].push((stamp, v));
-        }
-        assert_eq!(merge_stamped(streams), items);
-    }
-
-    #[test]
-    fn merge_stamped_handles_empty_and_skewed_streams() {
-        let streams = vec![
-            vec![(5u64, 'b'), (9, 'd')],
-            Vec::new(),
-            vec![(1, 'a'), (7, 'c')],
-        ];
-        assert_eq!(
-            merge_stamped(streams),
-            vec![(1, 'a'), (5, 'b'), (7, 'c'), (9, 'd')]
-        );
-        assert!(merge_stamped(Vec::<Vec<(u64, ())>>::new()).is_empty());
-    }
-
-    fn shard_slice(at_us: u64, shard: u32, shards: u32, lo: u32, hi: u32) -> ShardCheckpoint {
-        ShardCheckpoint {
-            at_us,
-            shard,
-            shards,
-            servers_lo: lo,
-            servers_hi: hi,
-            pending_events: 2,
-            synth_rng_fp: 1,
-            fault_applications: 0,
-            fault_lane_fp: 0,
-        }
-    }
-
-    #[test]
-    fn shard_checkpoints_consistent_partition_passes() {
-        let records = vec![
-            shard_slice(10, 0, 2, 0, 3),
-            shard_slice(10, 1, 2, 3, 6),
-            shard_slice(20, 0, 2, 0, 3),
-            shard_slice(20, 1, 2, 3, 6),
-        ];
-        let pending = [(10u64, 4u64), (20, 4)];
-        assert_eq!(
-            shard_checkpoint_violations(&records, 2, 6, &pending),
-            Vec::<String>::new()
-        );
-    }
-
-    #[test]
-    fn shard_checkpoints_catch_bad_partition_and_pending_mismatch() {
-        // Gap in the server ranges.
-        let records = vec![shard_slice(10, 0, 2, 0, 2), shard_slice(10, 1, 2, 3, 6)];
-        let v = shard_checkpoint_violations(&records, 2, 6, &[]);
-        assert!(v.iter().any(|m| m.contains("starts at server")), "{v:?}");
-        // Pending-event sum disagrees with the journal checkpoint.
-        let records = vec![shard_slice(10, 0, 2, 0, 3), shard_slice(10, 1, 2, 3, 6)];
-        let v = shard_checkpoint_violations(&records, 2, 6, &[(10, 99)]);
-        assert!(v.iter().any(|m| m.contains("sums to")), "{v:?}");
-        // Record count does not tile the shard count.
-        let v = shard_checkpoint_violations(&records[..1], 2, 6, &[]);
-        assert!(v.iter().any(|m| m.contains("do not tile")), "{v:?}");
     }
 }

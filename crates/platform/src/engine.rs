@@ -18,15 +18,14 @@ use crate::config::{PlatformConfig, ResilienceConfig};
 use crate::gateway::{Forward, Gateway};
 use crate::report::{FunctionSeries, RunReport, UtilizationSample, WorkloadSeries};
 use crate::scale::{placement_journal_event, ClusterView, PlacementDecision, Placer};
-use cluster::{ContentionState, InstanceId, ServerState};
-use faults::{FaultConfig, FaultInjector, FaultKind, ShardFaultLanes};
+use cluster::{InstanceId, ServerState};
+use faults::{FaultConfig, FaultInjector, FaultKind};
 use metricsd::MetricVector;
-use obs::journal::{CheckpointState, JournalEvent, PlacementKind, ShardCheckpoint};
+use obs::journal::{CheckpointState, JournalEvent, PlacementKind};
 use obs::json::Json;
-use obs::{EngineSnapshot, FaultRecord, Obs, SpanRecord, Track};
-use simcore::par;
+use obs::{FaultRecord, Obs, SpanRecord, Track};
 use simcore::rng::seed_stream;
-use simcore::{BarrierStats, EventQueue, ShardedEventQueue, SimRng, SimTime, SyncProfile};
+use simcore::{EventHandle, EventQueue, SimRng, SimTime};
 use std::collections::{BTreeSet, VecDeque};
 use workloads::dag::CallKind;
 use workloads::{PhaseSpec, Workload};
@@ -110,7 +109,9 @@ struct Task {
     remaining_us: f64,
     slowdown: f64,
     last_update: SimTime,
-    token: u64,
+    /// The pending `PhaseEnd` of an executing task: at most one per task,
+    /// re-timed in place whenever contention on its server changes.
+    phase_end: Option<EventHandle>,
     enqueued_at: SimTime,
     load_id: Option<InstanceId>,
     server: usize,
@@ -161,15 +162,13 @@ enum Ev {
     },
     PhaseEnd {
         task: usize,
-        token: u64,
     },
     Collect,
     /// Next injected fault fires (chaos runs only).
     FaultTick,
-    /// A transient server slowdown ends (stale if the token moved on).
+    /// A transient server slowdown ends.
     SlowdownEnd {
         server: usize,
-        token: u64,
     },
     /// A crashed server rejoins the cluster (empty).
     ServerRecover {
@@ -208,53 +207,11 @@ impl Default for ScaleConfig {
     }
 }
 
-/// The engine's event-queue backend: the retained serial queue (the
-/// reference semantics) or the sharded queue set behind the conservative
-/// time-window barrier protocol. Selected once, before deployment, by
-/// [`Simulation::set_shards`].
-enum EngineQueue {
-    Serial(EventQueue<Ev>),
-    Sharded(Box<ShardedEventQueue<Ev>>),
-}
-
-impl EngineQueue {
-    fn now(&self) -> SimTime {
-        match self {
-            EngineQueue::Serial(q) => q.now(),
-            EngineQueue::Sharded(q) => q.now(),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            EngineQueue::Serial(q) => q.len(),
-            EngineQueue::Sharded(q) => q.len(),
-        }
-    }
-
-    /// The sharded queue behind a code path only reachable after
-    /// [`Simulation::set_shards`]; panics on the serial backend.
-    fn sharded_mut(&mut self) -> &mut ShardedEventQueue<Ev> {
-        match self {
-            EngineQueue::Serial(_) => unreachable!("sharded access on a serial queue"),
-            EngineQueue::Sharded(q) => q,
-        }
-    }
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
 fn fnv_mix(fp: &mut u64, w: u64) {
     *fp = (*fp ^ w).wrapping_mul(FNV_PRIME);
-}
-
-/// Contiguous server→shard partition: server `s` of `n` belongs to shard
-/// `s * k / n`, so shard `s` owns servers `[⌈s·n/k⌉, ⌈(s+1)·n/k⌉)`.
-fn shard_server_range(shard: usize, shards: usize, num_servers: usize) -> (usize, usize) {
-    let lo = (shard * num_servers).div_ceil(shards);
-    let hi = ((shard + 1) * num_servers).div_ceil(shards);
-    (lo, hi)
 }
 
 /// The simulator.
@@ -264,11 +221,9 @@ pub struct Simulation {
     server_tasks: Vec<Vec<usize>>,
     /// One metric-synthesis stream per server, seeded
     /// `seed_stream(seed, 0x10_0000 + server)`: a collect tick's draws
-    /// depend only on the server, never on which shard — or how many
-    /// shards — the server is homed on, which is what makes synthesized
-    /// metrics partition-independent.
+    /// depend only on the server's own executing tasks.
     synth_rngs: Vec<SimRng>,
-    queue: EngineQueue,
+    queue: EventQueue<Ev>,
     gateway: Gateway,
     deployed: Vec<Deployed>,
     tasks: Vec<Task>,
@@ -294,8 +249,9 @@ pub struct Simulation {
     alive: Vec<bool>,
     /// Per-server transient service-time multiplier (1.0 = healthy).
     slow_mult: Vec<f64>,
-    /// Staleness tokens for scheduled `SlowdownEnd` events.
-    slow_token: Vec<u64>,
+    /// Per-server pending `SlowdownEnd`, cancelled when a newer episode
+    /// supersedes it or the server crashes.
+    slow_end: Vec<Option<EventHandle>>,
     /// Until this instant every dispatch is treated as a cold start.
     cold_storm_until: SimTime,
     /// Until this instant the predictor is reported unavailable to placers.
@@ -305,41 +261,8 @@ pub struct Simulation {
     checkpoint_every: SimTime,
     /// Next instant a checkpoint record is due (checked at collect ticks).
     next_checkpoint: SimTime,
-    /// Events dispatched by the run loop (serial or sharded), for the
-    /// throughput bench.
+    /// Events dispatched by the run loop, for the throughput bench.
     events_processed: u64,
-    /// Per-shard journal buffers, active only while the sharded loop runs:
-    /// records carry a global stamp and are merged back into the sink in
-    /// stamp order at each window close, reconstructing the serial sink
-    /// order byte-for-byte. Empty = inactive (records go straight through).
-    /// Buffers and the cursor scratch below are reused across flushes — the
-    /// per-window merge path allocates nothing.
-    journal_bufs: Vec<Vec<(u64, (u64, JournalEvent))>>,
-    /// Reused per-shard cursors for the in-place journal stamp merge.
-    journal_cursors: Vec<usize>,
-    /// Global stamp for buffered journal records, assigned in emit order.
-    journal_stamp: u64,
-    /// Shard of the event currently being dispatched (0 outside sharded
-    /// dispatch) — the owner of buffered journal records and fault lanes.
-    current_shard: usize,
-    /// Worker threads for sharded epoch execution (1 = single-threaded
-    /// reference path); applied, clamped to the shard count, when
-    /// `run_sharded` first runs. Bit-identical output at any setting.
-    shard_threads: usize,
-    /// Per-shard fault-application lanes (sharded runs only; pure side
-    /// channel, never consulted by the simulation).
-    fault_lanes: Option<ShardFaultLanes>,
-    /// Per-shard checkpoint slices accumulated by sharded runs, kept out of
-    /// the journal byte stream so journal bytes stay identical across shard
-    /// counts.
-    shard_checkpoints: Vec<ShardCheckpoint>,
-    /// Streaming moment accumulators for the sharded collect path, reused
-    /// across ticks: one `(sum, count)` slot per `(workload, node)`.
-    collect_scratch: Vec<Vec<(MetricVector, u32)>>,
-    /// Wall-clock start of the first sharded run, for the barrier-wait
-    /// share in the Prometheus engine block. Measurement only — never read
-    /// by the simulation.
-    sharded_wall_start: Option<std::time::Instant>,
 }
 
 impl Simulation {
@@ -362,7 +285,7 @@ impl Simulation {
             servers,
             server_tasks: vec![Vec::new(); n],
             synth_rngs,
-            queue: EngineQueue::Serial(EventQueue::new()),
+            queue: EventQueue::new(),
             gateway: Gateway::new(),
             deployed: Vec::new(),
             tasks: Vec::new(),
@@ -380,122 +303,18 @@ impl Simulation {
             retry_rng: SimRng::new(seed_stream(seed, 0xFA17)),
             alive: vec![true; n],
             slow_mult: vec![1.0; n],
-            slow_token: vec![0; n],
+            slow_end: vec![None; n],
             cold_storm_until: SimTime::ZERO,
             predictor_down_until: SimTime::ZERO,
             checkpoint_every: SimTime::ZERO,
             next_checkpoint: SimTime::ZERO,
             events_processed: 0,
-            journal_bufs: Vec::new(),
-            journal_cursors: Vec::new(),
-            journal_stamp: 0,
-            current_shard: 0,
-            shard_threads: 1,
-            fault_lanes: None,
-            shard_checkpoints: Vec::new(),
-            collect_scratch: Vec::new(),
-            sharded_wall_start: None,
-        }
-    }
-
-    /// Switch to the sharded runtime: partition the servers across `shards`
-    /// contiguous gateway domains, each with its own event heap, exchanged
-    /// through conservative time-window barriers. Must be called while the
-    /// engine is still empty (before any `deploy`/`set_faults`): the routing
-    /// decision is per event, made at schedule time.
-    pub fn set_shards(&mut self, shards: usize) {
-        assert!(shards >= 1, "need at least one shard");
-        assert!(
-            self.queue.len() == 0 && self.deployed.is_empty(),
-            "set_shards must precede deploy/set_faults/run"
-        );
-        self.queue = EngineQueue::Sharded(Box::new(ShardedEventQueue::new(shards)));
-        self.fault_lanes = Some(ShardFaultLanes::new(shards));
-    }
-
-    /// Shard count of the sharded runtime; `None` on the serial engine.
-    pub fn shards(&self) -> Option<usize> {
-        match &self.queue {
-            EngineQueue::Serial(_) => None,
-            EngineQueue::Sharded(q) => Some(q.shards()),
-        }
-    }
-
-    /// Run sharded epochs on `threads` worker threads (default 1: the
-    /// single-threaded reference path). The count is clamped to the shard
-    /// count when the sharded loop first runs; every artifact — report,
-    /// telemetry, fault log, journal — is bit-identical at any setting, so
-    /// this only trades wall-clock for cores. No-op on the serial engine.
-    pub fn set_shard_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "need at least one shard thread");
-        self.shard_threads = threads;
-    }
-
-    /// Worker threads configured for sharded epoch execution, clamped to
-    /// the shard count (`None` on the serial engine).
-    pub fn shard_threads(&self) -> Option<usize> {
-        match &self.queue {
-            EngineQueue::Serial(_) => None,
-            EngineQueue::Sharded(q) => Some(self.shard_threads.min(q.shards())),
-        }
-    }
-
-    /// Barrier-protocol counters of a sharded run (`None` on the serial
-    /// engine): epochs opened, events exchanged, and the minimum slack of
-    /// any exchanged event against its sender's epoch close.
-    pub fn barrier_stats(&self) -> Option<BarrierStats> {
-        match &self.queue {
-            EngineQueue::Serial(_) => None,
-            EngineQueue::Sharded(q) => Some(q.stats()),
         }
     }
 
     /// Events dispatched by the run loop so far.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
-    }
-
-    /// Wall-clock rendezvous profile of a threaded sharded run (`None` on
-    /// the serial engine; all-zero on the single-threaded backing). Unlike
-    /// [`Simulation::barrier_stats`] this is measurement, not simulation
-    /// state — it is never part of the byte-identity contract.
-    pub fn sync_profile(&self) -> Option<SyncProfile> {
-        match &self.queue {
-            EngineQueue::Serial(_) => None,
-            EngineQueue::Sharded(q) => Some(q.sync_profile()),
-        }
-    }
-
-    /// Epoch-efficiency block for the Prometheus export (`None` on the
-    /// serial engine or before the sharded loop first runs). Deliberately a
-    /// side channel next to the telemetry registry, never inside it: the
-    /// registry's JSONL is byte-compared across shard and thread counts,
-    /// and these numbers legitimately differ across both.
-    fn engine_prom_snapshot(&self) -> Option<EngineSnapshot> {
-        let EngineQueue::Sharded(q) = &self.queue else {
-            return None;
-        };
-        let stats = q.stats();
-        let sync = q.sync_profile();
-        let wall_ns = self.sharded_wall_start.map_or(0, |t| {
-            t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64
-        });
-        Some(EngineSnapshot {
-            epochs: stats.epochs,
-            windows: stats.windows,
-            delivered: stats.delivered,
-            rendezvous: sync.rendezvous,
-            sync_wait_ns: sync.wait_ns,
-            wall_ns,
-            width_hist_ms: stats.width_hist.to_vec(),
-            width_sum_ms: stats.width_sum_ms,
-        })
-    }
-
-    /// Per-shard checkpoint slices recorded by a sharded run (empty on the
-    /// serial engine, or before the first checkpoint instant).
-    pub fn shard_checkpoints(&self) -> &[ShardCheckpoint] {
-        &self.shard_checkpoints
     }
 
     /// Install an autoscaling placement policy.
@@ -533,93 +352,8 @@ impl Simulation {
     /// string, collect a vector) should guard with [`Simulation::journaling`]
     /// first so journal-off runs allocate nothing.
     fn journal(&mut self, at: SimTime, ev: JournalEvent) {
-        if self.obs.journal.is_none() {
-            return;
-        }
-        if !self.journal_bufs.is_empty() {
-            // Sharded dispatch: buffer on the emitting shard under a global
-            // stamp; the barrier flush merges the buffers back into the
-            // sink in canonical stamp order.
-            let stamp = self.journal_stamp;
-            self.journal_stamp += 1;
-            self.journal_bufs[self.current_shard].push((stamp, (at.as_micros(), ev)));
-        } else if let Some(j) = self.obs.journal.as_mut() {
+        if let Some(j) = self.obs.journal.as_mut() {
             j.record(at.as_micros(), &ev);
-        }
-    }
-
-    /// Flush the per-shard journal buffers through the canonical stamp
-    /// merge. Called at every window close and once more before the run-end
-    /// records; leaves the buffers empty (capacity retained) but active.
-    ///
-    /// The merge is an in-place k-way cursor walk: stamps are assigned in
-    /// emit order and each shard's buffer is stamp-sorted by construction,
-    /// so repeatedly taking the smallest front stamp replays the exact
-    /// serial emit order without collecting into an intermediate vector.
-    fn flush_journal_bufs(&mut self) {
-        if self.journal_bufs.iter().all(Vec::is_empty) {
-            return;
-        }
-        let j = self
-            .obs
-            .journal
-            .as_mut()
-            .expect("journal buffers active without a sink");
-        self.journal_cursors.clear();
-        self.journal_cursors.resize(self.journal_bufs.len(), 0);
-        loop {
-            let mut best: Option<(u64, usize)> = None;
-            for (s, buf) in self.journal_bufs.iter().enumerate() {
-                if let Some(&(stamp, _)) = buf.get(self.journal_cursors[s]) {
-                    if best.is_none_or(|(b, _)| stamp < b) {
-                        best = Some((stamp, s));
-                    }
-                }
-            }
-            let Some((_, s)) = best else { break };
-            let (_, (at_us, ev)) = &self.journal_bufs[s][self.journal_cursors[s]];
-            j.record(*at_us, ev);
-            self.journal_cursors[s] += 1;
-        }
-        for buf in &mut self.journal_bufs {
-            buf.clear();
-        }
-    }
-
-    /// Route one event to its home shard (serial mode: straight into the
-    /// queue). Sequence numbers are assigned in call order in both modes —
-    /// that is what keeps the sharded pop order identical to the serial
-    /// engine's at any shard count.
-    fn sched(&mut self, at: SimTime, ev: Ev) {
-        match &mut self.queue {
-            EngineQueue::Serial(q) => q.schedule(at, ev),
-            EngineQueue::Sharded(_) => {
-                let shard = self.home_shard(&ev);
-                let EngineQueue::Sharded(q) = &mut self.queue else {
-                    unreachable!("matched sharded above")
-                };
-                q.route(shard, at, ev);
-            }
-        }
-    }
-
-    /// Which shard owns an event. Server-local events (phase ends, slowdown
-    /// episodes, recoveries) live with their server's shard; everything
-    /// touching global state (gateway, arrivals, collect ticks, fault draws,
-    /// retries, timeouts) is homed on shard 0, the gateway domain.
-    fn home_shard(&self, ev: &Ev) -> usize {
-        match ev {
-            Ev::PhaseEnd { task, .. } => self.shard_of(self.tasks[*task].server),
-            Ev::SlowdownEnd { server, .. } | Ev::ServerRecover { server } => self.shard_of(*server),
-            _ => 0,
-        }
-    }
-
-    /// The shard a server is homed on (0 on the serial engine).
-    fn shard_of(&self, server: usize) -> usize {
-        match &self.queue {
-            EngineQueue::Serial(_) => 0,
-            EngineQueue::Sharded(q) => server * q.shards() / self.servers.len(),
         }
     }
 
@@ -639,7 +373,7 @@ impl Simulation {
         }
         let mut injector = FaultInjector::new(config);
         if let Some(at) = injector.next_event_after(self.queue.now()) {
-            self.sched(at, Ev::FaultTick);
+            self.queue.schedule(at, Ev::FaultTick);
         }
         self.faults = Some(injector);
     }
@@ -780,7 +514,7 @@ impl Simulation {
         if let Some(&first) = arrivals.front() {
             arrivals.pop_front();
             let at = first.max(self.queue.now());
-            self.sched(at, Ev::Arrival { wl });
+            self.queue.schedule(at, Ev::Arrival { wl });
         }
         self.arrivals_pending.push(arrivals);
 
@@ -795,16 +529,18 @@ impl Simulation {
     }
 
     /// Run until the simulated clock passes `end` (inclusive of events at
-    /// `end`). Returns the finished report; the simulation can be resumed by
-    /// calling `run_until` again with a later time.
+    /// `end`). The simulation can be resumed by calling `run_until` again
+    /// with a later time: a run split into slices renders the same report
+    /// as one call to the last slice's end.
     pub fn run_until(&mut self, end: SimTime) {
         if self.next_collect == SimTime::ZERO {
             self.next_collect = self.config.collect_interval;
-            self.sched(self.next_collect, Ev::Collect);
+            self.queue.schedule(self.next_collect, Ev::Collect);
         }
-        match self.queue {
-            EngineQueue::Serial(_) => self.run_serial(end),
-            EngineQueue::Sharded(_) => self.run_sharded(end),
+        while self.queue.peek_time().is_some_and(|at| at <= end) {
+            let (now, ev) = self.queue.pop().expect("peeked event vanished");
+            self.events_processed += 1;
+            self.dispatch(now, ev);
         }
         self.report.horizon = end;
         self.report.gateway_forward_ms = self.gateway.forward_latencies().to_vec();
@@ -827,153 +563,18 @@ impl Simulation {
         }
     }
 
-    /// The retained serial loop — the reference semantics the sharded
-    /// runtime must reproduce bit-for-bit.
-    fn run_serial(&mut self, end: SimTime) {
-        loop {
-            let EngineQueue::Serial(q) = &mut self.queue else {
-                unreachable!("run_serial on a sharded queue")
-            };
-            let Some(at) = q.peek_time() else { break };
-            if at > end {
-                break;
-            }
-            let (now, ev) = q.pop().expect("peeked event vanished");
-            self.events_processed += 1;
-            self.dispatch(now, ev, end);
-        }
-    }
-
-    /// The sharded loop: adaptive drain epochs batching many conservative
-    /// delivery windows.
-    ///
-    /// The outer loop opens one *epoch* per iteration — the only worker
-    /// rendezvous in threaded mode — bounded by the earliest global head
-    /// plus the conservative lookahead increment times an adaptive
-    /// multiplier. The inner loop then runs classic conservative *windows*
-    /// (anchor at the earliest head, extend by one lookahead increment,
-    /// clamp to the epoch bound) entirely coordinator-side: cross-shard
-    /// schedules inside a window still shrink it to their timestamp, so
-    /// nothing an open window can still pop was published from another
-    /// shard during that same window — but a truncation now costs a window
-    /// turnover, not a rendezvous.
-    ///
-    /// The multiplier widens (×2) after an epoch that delivered few events
-    /// — the shards had no near-term producers, so the next drain can
-    /// safely look further ahead — and narrows (÷2) after an epoch that
-    /// staged a large batch, bounding coordinator-side memory. It feeds
-    /// only on delivered-event counts, which are part of the deterministic
-    /// state, so epoch placement — and with it `BarrierStats` — is
-    /// bit-identical across backings and thread counts.
-    fn run_sharded(&mut self, end: SimTime) {
-        let lookahead = self.lookahead();
-        if self.sharded_wall_start.is_none() {
-            self.sharded_wall_start = Some(std::time::Instant::now());
-        }
-        if self.journaling() && self.journal_bufs.is_empty() {
-            self.journal_bufs = vec![Vec::new(); self.queue.sharded_mut().shards()];
-        }
-        if self.shard_threads > 1 {
-            // Hand the shard heaps to a persistent worker pool. Idempotent
-            // across re-entry (resumed runs call run_until again); the
-            // configured count only applies before the pool exists.
-            let q = self.queue.sharded_mut();
-            if q.threads() == 1 {
-                q.set_threads(self.shard_threads);
-            }
-            q.start_threads();
-        }
-        /// Widen the next epoch after one that delivered fewer events.
-        const WIDEN_BELOW: u64 = 256;
-        /// Narrow the next epoch after one that staged more events.
-        const NARROW_ABOVE: u64 = 8192;
-        /// Multiplier ceiling: epochs never look ahead more than this many
-        /// lookahead increments.
-        const MULT_MAX: u64 = 4096;
-        let mut mult: u64 = 1;
-        loop {
-            let q = self.queue.sharded_mut();
-            let Some(t0) = q.peek_time() else { break };
-            if t0 > end {
-                break;
-            }
-            let bound = SimTime(
-                t0.0.saturating_add(lookahead.0.saturating_mul(mult))
-                    .min(end.0)
-                    .saturating_add(1),
-            );
-            q.open_epoch(bound);
-            let epoch_start_delivered = q.stats().delivered;
-            loop {
-                let q = self.queue.sharded_mut();
-                let Some(w0) = q.peek_time() else { break };
-                if w0 >= bound || w0 > end {
-                    break;
-                }
-                let end_excl = SimTime(
-                    w0.0.saturating_add(lookahead.0)
-                        .min(end.0)
-                        .saturating_add(1)
-                        .min(bound.0),
-                );
-                q.begin_window(end_excl);
-                while let Some((now, shard, ev)) = self.queue.sharded_mut().pop_in_window() {
-                    self.current_shard = shard;
-                    self.events_processed += 1;
-                    self.dispatch(now, ev, end);
-                }
-                self.queue.sharded_mut().end_window();
-                self.flush_journal_bufs();
-            }
-            let delivered = self.queue.sharded_mut().stats().delivered - epoch_start_delivered;
-            if delivered < WIDEN_BELOW {
-                mult = (mult * 2).min(MULT_MAX);
-            } else if delivered > NARROW_ABOVE {
-                mult = (mult / 2).max(1);
-            }
-        }
-        self.queue.sharded_mut().close_epoch();
-        self.flush_journal_bufs();
-        self.journal_bufs = Vec::new();
-        self.current_shard = 0;
-    }
-
-    fn dispatch(&mut self, now: SimTime, ev: Ev, end: SimTime) {
+    fn dispatch(&mut self, now: SimTime, ev: Ev) {
         match ev {
             Ev::Arrival { wl } => self.on_arrival(now, wl),
             Ev::GatewayDone { fwd } => self.on_gateway_done(now, fwd),
-            Ev::PhaseEnd { task, token } => self.on_phase_end(now, task, token),
-            Ev::Collect => self.on_collect(now, end),
+            Ev::PhaseEnd { task } => self.on_phase_end(now, task),
+            Ev::Collect => self.on_collect(now),
             Ev::FaultTick => self.on_fault_tick(now),
-            Ev::SlowdownEnd { server, token } => self.on_slowdown_end(now, server, token),
+            Ev::SlowdownEnd { server } => self.on_slowdown_end(now, server),
             Ev::ServerRecover { server } => self.on_server_recover(now, server),
             Ev::RequestTimeout { req, attempt } => self.on_request_timeout(now, req, attempt),
             Ev::RetryRequest { req } => self.on_retry_request(now, req),
         }
-    }
-
-    /// Conservative barrier lookahead: the smallest declared cold-start
-    /// duration across deployed functions — the natural minimum latency of
-    /// re-warming capacity across a shard boundary — floored at 1 ms,
-    /// falling back to the collect interval when nothing declares a cold
-    /// phase. Lookahead only controls barrier cadence; correctness never
-    /// depends on it because windows shrink under cross-shard traffic.
-    fn lookahead(&self) -> SimTime {
-        let mut best: Option<u64> = None;
-        for d in &self.deployed {
-            for id in d.workload.graph.ids() {
-                if let Some(cs) = &d.workload.graph.func(id).cold_start {
-                    let us = cs.duration.as_micros();
-                    if us > 0 && best.is_none_or(|b| us < b) {
-                        best = Some(us);
-                    }
-                }
-            }
-        }
-        SimTime(
-            best.unwrap_or(self.config.collect_interval.as_micros())
-                .max(1_000),
-        )
     }
 
     /// The accumulated run report.
@@ -1016,7 +617,7 @@ impl Simulation {
     fn on_arrival(&mut self, now: SimTime, wl: usize) {
         // Chain-schedule the next arrival.
         if let Some(next) = self.arrivals_pending[wl].pop_front() {
-            self.sched(next.max(now), Ev::Arrival { wl });
+            self.queue.schedule(next.max(now), Ev::Arrival { wl });
         }
         let g = &self.deployed[wl].workload.graph;
         let roots: Vec<usize> = g.roots().iter().map(|r| r.0).collect();
@@ -1066,7 +667,8 @@ impl Simulation {
             self.forward(now, req, wl, node);
         }
         if let Some(timeout) = self.resilience.request_timeout {
-            self.sched(now.plus(timeout), Ev::RequestTimeout { req, attempt: 0 });
+            self.queue
+                .schedule(now.plus(timeout), Ev::RequestTimeout { req, attempt: 0 });
         }
     }
 
@@ -1092,7 +694,7 @@ impl Simulation {
                 Some(f) => dur.plus(f.gateway_jitter()),
                 None => dur,
             };
-            self.sched(now.plus(dur), Ev::GatewayDone { fwd });
+            self.queue.schedule(now.plus(dur), Ev::GatewayDone { fwd });
         }
     }
 
@@ -1170,7 +772,7 @@ impl Simulation {
             remaining_us: 0.0,
             slowdown: 1.0,
             last_update: now,
-            token: 0,
+            phase_end: None,
             enqueued_at: now,
             load_id: None,
             server: inst.server,
@@ -1311,40 +913,42 @@ impl Simulation {
         }
     }
 
-    /// Recompute contention on a server and (re)schedule every executing
-    /// task's phase-end event.
+    /// Recompute contention on a server and re-time every executing task's
+    /// phase-end event in place (scheduling it if the task has none yet).
+    /// Each re-time draws a fresh sequence number, exactly as scheduling a
+    /// new event would, so ties at one instant still pop in the order the
+    /// events were last timed.
     fn reschedule_server(&mut self, now: SimTime, server: usize) {
         if let Some(t) = self.obs.telemetry.as_mut() {
             t.incr("contention.recomputes", 1);
         }
         let contention = self.servers[server].contention();
-        let tids: Vec<usize> = self.server_tasks[server].clone();
-        for tid in tids {
-            let (socket, phase) = {
-                let t = &self.tasks[tid];
-                let socket = self.deployed[t.wl].instances[t.node][t.inst].socket;
-                (socket, t.phases[t.phase_idx])
-            };
-            let ic = contention.instance(&phase.load(socket));
+        for i in 0..self.server_tasks[server].len() {
+            let tid = self.server_tasks[server][i];
             let t = &mut self.tasks[tid];
+            let socket = self.deployed[t.wl].instances[t.node][t.inst].socket;
+            let ic = contention.instance(&t.phases[t.phase_idx].load(socket));
             // Injected interference spike: multiply by the transient
             // per-server factor. 1.0 outside an episode — and `x * 1.0` is
             // bitwise-exact, so fault-free runs are unperturbed.
             t.slowdown = ic.slowdown * self.slow_mult[server];
-            t.token += 1;
-            let eta_us = (t.remaining_us * t.slowdown).ceil() as u64;
-            let token = t.token;
-            self.sched(now.plus(SimTime(eta_us)), Ev::PhaseEnd { task: tid, token });
+            let at = now.plus(SimTime((t.remaining_us * t.slowdown).ceil() as u64));
+            match t.phase_end {
+                Some(h) => self.queue.reschedule(h, at),
+                None => t.phase_end = Some(self.queue.schedule(at, Ev::PhaseEnd { task: tid })),
+            }
         }
     }
 
-    fn on_phase_end(&mut self, now: SimTime, task_id: usize, token: u64) {
-        {
-            let t = &self.tasks[task_id];
-            if t.token != token || t.state != TaskState::Executing {
-                return; // stale event
-            }
-        }
+    fn on_phase_end(&mut self, now: SimTime, task_id: usize) {
+        // Aborts cancel the event and re-times move it, so every pop is
+        // the live completion of an executing task.
+        debug_assert_eq!(
+            self.tasks[task_id].state,
+            TaskState::Executing,
+            "popped a phase end of a task that is not executing"
+        );
+        self.tasks[task_id].phase_end = None;
         let server = self.tasks[task_id].server;
         self.settle_server(now, server);
         // Guard against floating-point residue: this event was scheduled for
@@ -1581,7 +1185,7 @@ impl Simulation {
     // Collection & autoscaling
     // ------------------------------------------------------------------
 
-    fn on_collect(&mut self, now: SimTime, end: SimTime) {
+    fn on_collect(&mut self, now: SimTime) {
         // Cache contention and whole-server utilization per server.
         let contentions: Vec<_> = self.servers.iter().map(|s| s.contention()).collect();
         let cpu_utils: Vec<f64> = self.servers.iter().map(|s| s.cpu_utilization()).collect();
@@ -1591,58 +1195,51 @@ impl Simulation {
             .map(|s| s.memory_utilization())
             .collect();
 
-        // Per-(wl, node) metric synthesis over executing tasks. The serial
-        // engine keeps the reference implementation (nested per-node sample
-        // vectors reduced by `mean_of`); the sharded runtime computes the
-        // same means through streaming accumulators, bit-identically.
-        if matches!(self.queue, EngineQueue::Serial(_)) {
-            let mut samples: Vec<Vec<Vec<MetricVector>>> = self
-                .deployed
-                .iter()
-                .map(|d| vec![Vec::new(); d.workload.graph.len()])
-                .collect();
-            for server in 0..self.servers.len() {
-                let base_freq = self.servers[server].spec().base_freq_ghz;
-                for &tid in &self.server_tasks[server] {
-                    let t = &self.tasks[tid];
-                    let socket = self.deployed[t.wl].instances[t.node][t.inst].socket;
-                    let phase = &t.phases[t.phase_idx];
-                    let load = phase.load(socket);
-                    let ic = contentions[server].instance(&load);
-                    let m = cluster::microarch::synthesize(
-                        &phase.micro,
-                        &load,
-                        &ic,
-                        base_freq,
-                        cpu_utils[server],
-                        &self.config.microarch,
-                        &mut self.synth_rngs[server],
-                    );
-                    samples[t.wl][t.node].push(m);
-                }
+        // Per-(wl, node) metric synthesis over executing tasks.
+        let mut samples: Vec<Vec<Vec<MetricVector>>> = self
+            .deployed
+            .iter()
+            .map(|d| vec![Vec::new(); d.workload.graph.len()])
+            .collect();
+        for server in 0..self.servers.len() {
+            let base_freq = self.servers[server].spec().base_freq_ghz;
+            for &tid in &self.server_tasks[server] {
+                let t = &self.tasks[tid];
+                let socket = self.deployed[t.wl].instances[t.node][t.inst].socket;
+                let phase = &t.phases[t.phase_idx];
+                let load = phase.load(socket);
+                let ic = contentions[server].instance(&load);
+                let m = cluster::microarch::synthesize(
+                    &phase.micro,
+                    &load,
+                    &ic,
+                    base_freq,
+                    cpu_utils[server],
+                    &self.config.microarch,
+                    &mut self.synth_rngs[server],
+                );
+                samples[t.wl][t.node].push(m);
             }
-            for (wl, nodes) in samples.into_iter().enumerate() {
-                for (node, vecs) in nodes.into_iter().enumerate() {
-                    if !vecs.is_empty() {
-                        let m = MetricVector::mean_of(&vecs);
-                        if self.journaling() {
-                            self.journal(
-                                now,
-                                JournalEvent::MetricSample {
-                                    wl: wl as u32,
-                                    node: node as u32,
-                                    values: m.as_slice().to_vec(),
-                                },
-                            );
-                        }
-                        self.report.workloads[wl].functions[node]
-                            .metric_samples
-                            .push(m);
+        }
+        for (wl, nodes) in samples.into_iter().enumerate() {
+            for (node, vecs) in nodes.into_iter().enumerate() {
+                if !vecs.is_empty() {
+                    let m = MetricVector::mean_of(&vecs);
+                    if self.journaling() {
+                        self.journal(
+                            now,
+                            JournalEvent::MetricSample {
+                                wl: wl as u32,
+                                node: node as u32,
+                                values: m.as_slice().to_vec(),
+                            },
+                        );
                     }
+                    self.report.workloads[wl].functions[node]
+                        .metric_samples
+                        .push(m);
                 }
             }
-        } else {
-            self.collect_samples_sharded(now, &contentions, &cpu_utils);
         }
 
         // Utilization snapshot.
@@ -1697,7 +1294,6 @@ impl Simulation {
         if self.checkpoint_every > SimTime::ZERO && now >= self.next_checkpoint {
             let state = self.checkpoint_state(now);
             self.journal(now, JournalEvent::Checkpoint(state));
-            self.record_shard_checkpoints(now);
             while self.next_checkpoint <= now {
                 self.next_checkpoint = self.next_checkpoint.plus(self.checkpoint_every);
             }
@@ -1706,202 +1302,15 @@ impl Simulation {
         // Refresh the live Prometheus exposition, if a hub is attached.
         // Read-only over telemetry/fault-log state: zero determinism impact.
         if let (Some(hub), Some(t)) = (self.obs.prom.as_ref(), self.obs.telemetry.as_ref()) {
-            let engine = self.engine_prom_snapshot();
-            hub.publish_with_engine(t, self.obs.faults.as_ref(), engine.as_ref());
+            hub.publish(t, self.obs.faults.as_ref());
         }
 
+        // Always arm the next tick, even past the current `run_until` end:
+        // a later call then resumes sampling where this one stopped, and the
+        // tick's sequence number is drawn at the same point of the run
+        // however the run is sliced.
         self.next_collect = now.plus(self.config.collect_interval);
-        if self.next_collect <= end {
-            self.sched(self.next_collect, Ev::Collect);
-        }
-    }
-
-    /// The sharded collect path: one streaming `(sum, count)` accumulator
-    /// per `(workload, node)` slot instead of the serial path's nested
-    /// per-tick sample vectors. Accumulation order is server-major, task
-    /// order within a server — exactly `mean_of`'s fold order — so the
-    /// emitted means are bit-identical to the serial reference while
-    /// skipping its allocations. With more than one worker available the
-    /// per-shard sample lists are synthesized in parallel (each shard owns a
-    /// disjoint server range and its own RNG streams) and concatenated in
-    /// shard order — still global server order — before the same sequential
-    /// fold.
-    fn collect_samples_sharded(
-        &mut self,
-        now: SimTime,
-        contentions: &[ContentionState],
-        cpu_utils: &[f64],
-    ) {
-        let EngineQueue::Sharded(q) = &self.queue else {
-            unreachable!("sharded collect on the serial engine")
-        };
-        let k = q.shards();
-        let n = self.servers.len();
-        let workers = k.min(par::available_workers());
-
-        let mut scratch = std::mem::take(&mut self.collect_scratch);
-        if scratch.len() != self.deployed.len()
-            || scratch
-                .iter()
-                .zip(&self.deployed)
-                .any(|(row, d)| row.len() != d.workload.graph.len())
-        {
-            scratch = self
-                .deployed
-                .iter()
-                .map(|d| vec![(MetricVector::zero(), 0u32); d.workload.graph.len()])
-                .collect();
-        } else {
-            for row in &mut scratch {
-                for slot in row {
-                    *slot = (MetricVector::zero(), 0);
-                }
-            }
-        }
-
-        if workers <= 1 {
-            for server in 0..n {
-                let base_freq = self.servers[server].spec().base_freq_ghz;
-                for &tid in &self.server_tasks[server] {
-                    let t = &self.tasks[tid];
-                    let socket = self.deployed[t.wl].instances[t.node][t.inst].socket;
-                    let phase = &t.phases[t.phase_idx];
-                    let load = phase.load(socket);
-                    let ic = contentions[server].instance(&load);
-                    let m = cluster::microarch::synthesize(
-                        &phase.micro,
-                        &load,
-                        &ic,
-                        base_freq,
-                        cpu_utils[server],
-                        &self.config.microarch,
-                        &mut self.synth_rngs[server],
-                    );
-                    let slot = &mut scratch[t.wl][t.node];
-                    slot.0 = slot.0.add(&m);
-                    slot.1 += 1;
-                }
-            }
-        } else {
-            let ranges: Vec<(usize, usize)> = (0..k).map(|s| shard_server_range(s, k, n)).collect();
-            // Hand each shard its own slice of the per-server RNG streams.
-            let mut rngs = std::mem::take(&mut self.synth_rngs);
-            let mut chunks: Vec<Vec<SimRng>> = Vec::with_capacity(k);
-            for s in (0..k).rev() {
-                chunks.push(rngs.split_off(ranges[s].0));
-            }
-            chunks.reverse();
-            let shape: Vec<usize> = self
-                .deployed
-                .iter()
-                .map(|d| d.workload.graph.len())
-                .collect();
-            let tasks = &self.tasks;
-            let server_tasks = &self.server_tasks;
-            let deployed = &self.deployed;
-            let servers = &self.servers;
-            let microarch = &self.config.microarch;
-            let packets: Vec<(usize, Vec<SimRng>)> = chunks.into_iter().enumerate().collect();
-            let results = par::par_map_workers(packets, workers, |(s, mut rng_chunk)| {
-                let (lo, hi) = ranges[s];
-                let mut out: Vec<Vec<Vec<MetricVector>>> =
-                    shape.iter().map(|&len| vec![Vec::new(); len]).collect();
-                for (offset, server) in (lo..hi).enumerate() {
-                    let base_freq = servers[server].spec().base_freq_ghz;
-                    for &tid in &server_tasks[server] {
-                        let t = &tasks[tid];
-                        let socket = deployed[t.wl].instances[t.node][t.inst].socket;
-                        let phase = &t.phases[t.phase_idx];
-                        let load = phase.load(socket);
-                        let ic = contentions[server].instance(&load);
-                        let m = cluster::microarch::synthesize(
-                            &phase.micro,
-                            &load,
-                            &ic,
-                            base_freq,
-                            cpu_utils[server],
-                            microarch,
-                            &mut rng_chunk[offset],
-                        );
-                        out[t.wl][t.node].push(m);
-                    }
-                }
-                (out, rng_chunk)
-            });
-            for (out, rng_chunk) in results {
-                self.synth_rngs.extend(rng_chunk);
-                for (wl, nodes) in out.into_iter().enumerate() {
-                    for (node, vecs) in nodes.into_iter().enumerate() {
-                        let slot = &mut scratch[wl][node];
-                        for m in &vecs {
-                            slot.0 = slot.0.add(m);
-                            slot.1 += 1;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Emit in (wl, node) order — the same instants, order and values as
-        // the serial reference path.
-        for (wl, nodes) in scratch.iter().enumerate() {
-            for (node, &(sum, count)) in nodes.iter().enumerate() {
-                if count > 0 {
-                    let m = sum.scale(1.0 / count as f64);
-                    if self.journaling() {
-                        self.journal(
-                            now,
-                            JournalEvent::MetricSample {
-                                wl: wl as u32,
-                                node: node as u32,
-                                values: m.as_slice().to_vec(),
-                            },
-                        );
-                    }
-                    self.report.workloads[wl].functions[node]
-                        .metric_samples
-                        .push(m);
-                }
-            }
-        }
-        self.collect_scratch = scratch;
-    }
-
-    /// Side-channel per-shard checkpoint slices (sharded runs only). Never
-    /// written into the journal byte stream — journal bytes are pinned
-    /// identical across shard counts — but validated for structural
-    /// consistency by the conformance suite via
-    /// [`obs::journal::shard_checkpoint_violations`].
-    fn record_shard_checkpoints(&mut self, now: SimTime) {
-        let EngineQueue::Sharded(q) = &self.queue else {
-            return;
-        };
-        let k = q.shards();
-        let n = self.servers.len();
-        for s in 0..k {
-            let (lo, hi) = shard_server_range(s, k, n);
-            let mut fp = FNV_OFFSET;
-            for rng in &self.synth_rngs[lo..hi] {
-                for w in rng.state() {
-                    fnv_mix(&mut fp, w);
-                }
-            }
-            let (fault_applications, fault_lane_fp) = self
-                .fault_lanes
-                .as_ref()
-                .map_or((0, 0), |l| (l.count(s), l.fingerprint(s)));
-            self.shard_checkpoints.push(ShardCheckpoint {
-                at_us: now.as_micros(),
-                shard: s as u32,
-                shards: k as u32,
-                servers_lo: lo as u32,
-                servers_hi: hi as u32,
-                pending_events: q.shard_len(s) as u64,
-                synth_rng_fp: fp,
-                fault_applications,
-                fault_lane_fp,
-            });
-        }
+        self.queue.schedule(self.next_collect, Ev::Collect);
     }
 
     /// Snapshot the engine's replay-relevant state for a checkpoint record.
@@ -1925,10 +1334,8 @@ impl Simulation {
                 }
             }
         }
-        // Word-wise FNV fold over every per-server synthesis stream: the
-        // four words play the role the single stream's state played before,
-        // and the fold is over server order, so the value is independent of
-        // the shard partition.
+        // Word-wise FNV fold over every per-server synthesis stream, in
+        // server order.
         let mut rng_words = [FNV_OFFSET; 4];
         for rng in &self.synth_rngs {
             for (word, w) in rng_words.iter_mut().zip(rng.state()) {
@@ -2073,34 +1480,6 @@ impl Simulation {
         }
     }
 
-    /// Per-shard fault-application bookkeeping (sharded runs only): pure
-    /// accounting on a side channel, never an RNG draw, so serial and
-    /// sharded runs stay bit-identical. Cluster-wide faults land on shard 0
-    /// (the fault/gateway domain); server-scoped faults land on the target
-    /// server's shard.
-    fn note_fault_lane(
-        &mut self,
-        kind: FaultKind,
-        target: i64,
-        now: SimTime,
-        server: Option<usize>,
-    ) {
-        if self.fault_lanes.is_none() {
-            return;
-        }
-        let shard = server.map_or(0, |s| self.shard_of(s));
-        let tag = match kind {
-            FaultKind::ServerCrash => 0,
-            FaultKind::ServerSlowdown => 1,
-            FaultKind::InstanceOom => 2,
-            FaultKind::ColdStartStorm => 3,
-            FaultKind::PredictorOutage => 4,
-        };
-        if let Some(lanes) = self.fault_lanes.as_mut() {
-            lanes.note(shard, tag, target, now.as_micros());
-        }
-    }
-
     /// One injected fault fires: draw the kind and target, apply it, and
     /// schedule the next tick from the injector's private stream.
     fn on_fault_tick(&mut self, now: SimTime) {
@@ -2116,7 +1495,6 @@ impl Simulation {
                 let up: Vec<usize> = (0..self.alive.len()).filter(|&s| self.alive[s]).collect();
                 if !up.is_empty() {
                     let target = up[self.faults.as_mut().expect("checked").pick(up.len())];
-                    self.note_fault_lane(FaultKind::ServerCrash, target as i64, now, Some(target));
                     self.crash_server(now, target);
                     let recovery = self
                         .faults
@@ -2124,7 +1502,8 @@ impl Simulation {
                         .expect("checked")
                         .config()
                         .crash_recovery;
-                    self.sched(now.plus(recovery), Ev::ServerRecover { server: target });
+                    self.queue
+                        .schedule(now.plus(recovery), Ev::ServerRecover { server: target });
                 }
             }
             FaultKind::ServerSlowdown => {
@@ -2134,24 +1513,18 @@ impl Simulation {
                     let target = up[inj.pick(up.len())];
                     let factor = inj.config().slowdown_factor;
                     let duration = inj.config().slowdown_duration;
-                    self.note_fault_lane(
-                        FaultKind::ServerSlowdown,
-                        target as i64,
-                        now,
-                        Some(target),
-                    );
                     self.log_fault(now, "slowdown", target as i64, factor);
                     self.settle_server(now, target);
                     self.slow_mult[target] = factor;
-                    self.slow_token[target] += 1;
-                    let token = self.slow_token[target];
-                    self.sched(
-                        now.plus(duration),
-                        Ev::SlowdownEnd {
-                            server: target,
-                            token,
-                        },
-                    );
+                    // A newer episode supersedes a pending end: move it.
+                    let at = now.plus(duration);
+                    match self.slow_end[target] {
+                        Some(h) => self.queue.reschedule(h, at),
+                        None => {
+                            self.slow_end[target] =
+                                Some(self.queue.schedule(at, Ev::SlowdownEnd { server: target }));
+                        }
+                    }
                     self.reschedule_server(now, target);
                 }
             }
@@ -2174,7 +1547,6 @@ impl Simulation {
                         .expect("checked")
                         .pick(candidates.len())];
                     let server = self.deployed[wl].instances[node][i].server;
-                    self.note_fault_lane(FaultKind::InstanceOom, server as i64, now, Some(server));
                     self.log_fault(now, "oom_kill", server as i64, node as f64);
                     self.kill_instance(now, wl, node, i);
                     self.rewarm(now, vec![(wl, node)]);
@@ -2188,7 +1560,6 @@ impl Simulation {
                     .config()
                     .cold_storm_duration;
                 self.cold_storm_until = now.plus(duration);
-                self.note_fault_lane(FaultKind::ColdStartStorm, -1, now, None);
                 self.log_fault(now, "cold_storm", -1, duration.as_millis());
             }
             FaultKind::PredictorOutage => {
@@ -2199,7 +1570,6 @@ impl Simulation {
                     .config()
                     .predictor_outage_duration;
                 self.predictor_down_until = now.plus(duration);
-                self.note_fault_lane(FaultKind::PredictorOutage, -1, now, None);
                 self.log_fault(now, "predictor_outage", -1, duration.as_millis());
                 if let Some(p) = self.placer.as_mut() {
                     p.set_predictor_available(false);
@@ -2211,7 +1581,7 @@ impl Simulation {
             .as_mut()
             .and_then(|inj| inj.next_event_after(now))
         {
-            self.sched(next, Ev::FaultTick);
+            self.queue.schedule(next, Ev::FaultTick);
         }
     }
 
@@ -2223,6 +1593,11 @@ impl Simulation {
             return;
         }
         self.alive[server] = false;
+        // A slowdown episode in progress dies with the server: its end
+        // never fires, and the server rejoins healthy on recovery.
+        if let Some(h) = self.slow_end[server].take() {
+            self.queue.cancel(h);
+        }
         self.log_fault(now, "server_crash", server as i64, 0.0);
         if let Some(t) = self.obs.telemetry.as_mut() {
             t.incr("faults.server_crashes", 1);
@@ -2253,17 +1628,13 @@ impl Simulation {
 
     fn on_server_recover(&mut self, now: SimTime, server: usize) {
         self.alive[server] = true;
-        // A slowdown episode that was active at crash time died with the
-        // server; invalidate its end event and rejoin healthy.
         self.slow_mult[server] = 1.0;
-        self.slow_token[server] += 1;
         self.log_fault(now, "server_recover", server as i64, 0.0);
     }
 
-    fn on_slowdown_end(&mut self, now: SimTime, server: usize, token: u64) {
-        if self.slow_token[server] != token || !self.alive[server] {
-            return; // superseded by a newer episode, or the server crashed
-        }
+    fn on_slowdown_end(&mut self, now: SimTime, server: usize) {
+        debug_assert!(self.alive[server], "a crash cancels the slowdown end");
+        self.slow_end[server] = None;
         self.settle_server(now, server);
         self.slow_mult[server] = 1.0;
         self.log_fault(now, "slowdown_end", server as i64, 0.0);
@@ -2372,7 +1743,8 @@ impl Simulation {
                 t.incr("requests.retries", 1);
             }
             self.log_fault(now, "retry", req as i64, delay.as_millis());
-            self.sched(now.plus(delay), Ev::RetryRequest { req });
+            self.queue
+                .schedule(now.plus(delay), Ev::RetryRequest { req });
         } else {
             let r = &mut self.requests[req as usize];
             r.outcome = Some(Outcome::Failed);
@@ -2437,7 +1809,9 @@ impl Simulation {
             }
             let t = &mut self.tasks[tid];
             t.state = TaskState::Done;
-            t.token += 1; // invalidate any scheduled PhaseEnd
+            if let Some(h) = t.phase_end.take() {
+                self.queue.cancel(h);
+            }
         }
         {
             let r = &mut self.requests[req as usize];
@@ -2473,7 +1847,8 @@ impl Simulation {
             self.forward(now, req, wl, node);
         }
         if let Some(timeout) = self.resilience.request_timeout {
-            self.sched(now.plus(timeout), Ev::RequestTimeout { req, attempt });
+            self.queue
+                .schedule(now.plus(timeout), Ev::RequestTimeout { req, attempt });
         }
     }
 
@@ -2848,67 +2223,6 @@ mod tests {
             sim.into_report()
         };
         assert_eq!(run(false), run(true));
-    }
-
-    #[test]
-    fn sharded_run_matches_serial_bit_for_bit() {
-        // The quick inline conformance check; the full 20-seed × shard-count
-        // × faults-on/off matrix lives in tests/engine_shard_equiv.rs.
-        let run = |shards: Option<usize>| {
-            let mut sim = Simulation::new(PlatformConfig::small(42));
-            if let Some(k) = shards {
-                sim.set_shards(k);
-            }
-            let w = socialnetwork::message_posting();
-            let placement = place_all(&w, 0, 0);
-            sim.deploy(Deployment {
-                workload: w,
-                placement,
-                arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(5.0, SimTime::from_secs(5.0))),
-            });
-            sim.run_until(SimTime::from_secs(30.0));
-            sim.into_report()
-        };
-        let serial = run(None);
-        for k in [1, 2, 4, 8] {
-            assert_eq!(serial, run(Some(k)), "shards={k} diverged from serial");
-        }
-    }
-
-    #[test]
-    fn sharded_run_reports_barrier_activity() {
-        let mut sim = Simulation::new(PlatformConfig::small(7));
-        sim.set_shards(4);
-        let w = socialnetwork::message_posting();
-        let placement = place_all(&w, 0, 0);
-        sim.deploy(Deployment {
-            workload: w,
-            placement,
-            arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(5.0, SimTime::from_secs(5.0))),
-        });
-        sim.run_until(SimTime::from_secs(30.0));
-        assert_eq!(sim.shards(), Some(4));
-        assert!(sim.events_processed() > 0);
-        let stats = sim.barrier_stats().expect("sharded run has stats");
-        assert!(stats.epochs > 0, "no epochs opened");
-        // Everything here runs on server 0 → shard 0, but the gateway domain
-        // interplay still exchanges nothing only if no cross-shard traffic
-        // exists; with one server the whole run is shard-0-local.
-        assert!(stats.crossed == 0 || stats.min_slack_us >= 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "set_shards must precede")]
-    fn set_shards_after_deploy_panics() {
-        let mut sim = small_sim(1);
-        let w = functionbench::float_operation();
-        let placement = place_all(&w, 0, 0);
-        sim.deploy(Deployment {
-            workload: w,
-            placement,
-            arrivals: ArrivalSpec::OpenLoop(vec![SimTime::from_secs(0.1)]),
-        });
-        sim.set_shards(2);
     }
 
     #[test]

@@ -278,3 +278,88 @@ fn keep_alive_controls_cold_starts() {
     assert_eq!(s.completions, 3);
     assert_eq!(s.functions[0].cold_starts, 2);
 }
+
+/// A fig11-style run: the two LS services on diurnal arrivals spread over
+/// the testbed, three SC/BG job streams, and the autoscaler (Worst Fit)
+/// adding instances as queues build. Advanced to `horizon_s` through
+/// `run_until` calls at every multiple of `slice_s`.
+fn fig11_style_report(slice_s: f64, horizon_s: f64) -> platform::report::RunReport {
+    use platform::engine::ScaleConfig;
+    use workloads::azure_trace::RateProfile;
+    use workloads::loadgen::profile_arrivals;
+
+    let horizon = SimTime::from_secs(horizon_s);
+    let mut sim = Simulation::new(PlatformConfig::paper_testbed(0xF1_611));
+    let n = sim.servers().len();
+    let mut rng = SimRng::new(11);
+    for (i, (workload, rps)) in [
+        (workloads::socialnetwork::message_posting(), 20.0),
+        (workloads::ecommerce::browse_and_buy(), 30.0),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let placement = (0..workload.graph.len())
+            .map(|node| {
+                vec![PlacementDecision {
+                    server: (node + i) % n,
+                    socket: 0,
+                }]
+            })
+            .collect();
+        let arrivals = profile_arrivals(&RateProfile::azure_like(rps), horizon, &mut rng);
+        sim.deploy(Deployment {
+            workload,
+            placement,
+            arrivals: ArrivalSpec::OpenLoop(arrivals),
+        });
+    }
+    for (i, workload) in [
+        workloads::functionbench::matrix_multiplication(),
+        workloads::functionbench::video_processing(),
+        workloads::functionbench::dd(),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let submissions = (0..)
+            .map(|k| SimTime::from_secs(10.0 + i as f64 * 15.0 + k as f64 * 30.0))
+            .take_while(|t| *t < horizon)
+            .collect();
+        sim.deploy(Deployment {
+            workload,
+            placement: vec![vec![PlacementDecision {
+                server: i % n,
+                socket: 0,
+            }]],
+            arrivals: ArrivalSpec::Jobs(submissions),
+        });
+    }
+    sim.set_placer(
+        Box::new(baselines::WorstFit),
+        ScaleConfig {
+            queue_per_instance: 1.5,
+            busy_fraction: 0.75,
+            max_instances_per_node: 24,
+        },
+    );
+    let slices = (horizon_s / slice_s).round() as u64;
+    for k in 1..=slices {
+        sim.run_until(SimTime::from_secs(k as f64 * slice_s));
+    }
+    sim.into_report()
+}
+
+#[test]
+fn sliced_run_renders_the_same_report_as_one_call() {
+    // `run_until` is resumable: one call to 60 s and sixty 1 s slices take
+    // the same utilization samples, scale-outs and latencies, byte for byte.
+    let whole = fig11_style_report(60.0, 60.0);
+    let sliced = fig11_style_report(1.0, 60.0);
+    assert_eq!(whole.utilization.len(), 60, "one sample per collect tick");
+    assert!(
+        whole.workloads.iter().map(|w| w.completions).sum::<u64>() > 1_000,
+        "the run must carry real traffic"
+    );
+    assert_eq!(sliced.render_json(), whole.render_json());
+}

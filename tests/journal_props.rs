@@ -4,12 +4,11 @@
 //! bit-identically, and attaching a journal must never perturb the
 //! simulation — across many seeds, with faults both on and off.
 
-use experiments::fault_sweep::{chaos_run, chaos_run_sharded, SweepPoint};
+use experiments::fault_sweep::{chaos_run, SweepPoint};
 use experiments::journal_runs::{
     fault_sweep_spec, replay_bytes, rerun_from_header, resume_bytes, truncate_bytes,
-    CHECKPOINT_EVERY_US,
 };
-use obs::journal::{check_invariants, read_journal, JournalEvent, MemoryJournal};
+use obs::journal::{check_invariants, read_journal, JournalEvent};
 
 const QUICK: bool = true;
 const FAULTS_OFF: SweepPoint = SweepPoint {
@@ -111,73 +110,6 @@ fn resume_of_complete_journal_verifies_everything() {
     assert_eq!(resumed.verified_records, resumed.total_records);
     assert_eq!(resumed.full_journal, full);
     assert_eq!(resumed.artifacts, live);
-}
-
-/// A journal assembled from per-shard buffers merged at barrier boundaries
-/// satisfies the same ordering invariants as a serially written one, at
-/// every shard count, and still replays into byte-identical artifacts.
-#[test]
-fn merged_multi_shard_journal_satisfies_invariants_and_replays() {
-    let seed = 13u64;
-    for shards in [2usize, 4, 8] {
-        let spec = fault_sweep_spec(FAULTS_ON, seed, QUICK);
-        let journal = MemoryJournal::in_memory(&spec, Some(CHECKPOINT_EVERY_US));
-        let bundle = obs::Obs::telemetry_only()
-            .with_fault_log()
-            .with_journal(Box::new(journal));
-        let (out, post) = chaos_run_sharded(FAULTS_ON, seed, QUICK, bundle, Some(shards));
-        let bytes = post
-            .journal
-            .as_ref()
-            .and_then(|j| j.as_any().downcast_ref::<MemoryJournal>())
-            .map(|j| j.bytes().to_vec())
-            .expect("journal bytes");
-        let parsed = read_journal(&bytes).expect("strict parse");
-        let violations = check_invariants(&parsed.records);
-        assert!(
-            violations.is_empty(),
-            "{shards}-shard journal violates ordering invariants:\n  {}",
-            violations.join("\n  ")
-        );
-        let replay = replay_bytes(&bytes).expect("replay");
-        assert_eq!(
-            replay.artifacts.report_json,
-            out.report.render_json(),
-            "{shards}-shard journal must fold back into its own run's report"
-        );
-        assert_eq!(replay.artifacts.faults_jsonl, out.faults.to_jsonl());
-    }
-}
-
-/// Barrier-ordering property: in a cross-shard-heavy run, events exchanged
-/// at barriers are actually exchanged (`crossed > 0`) and none of them was
-/// due before its sender's epoch closed (`min_slack_us >= 0`) — i.e. no
-/// cross-shard event can execute inside a still-open window. The
-/// window-shrink rule makes the slack non-negative by protocol; this test
-/// checks the engine's own accounting of every exchange against that bound.
-#[test]
-fn cross_shard_events_respect_the_barrier_epoch() {
-    for seed in [1u64, 13, 42] {
-        let (out, _) = chaos_run_sharded(
-            FAULTS_ON,
-            seed,
-            QUICK,
-            obs::Obs::telemetry_only().with_fault_log(),
-            Some(8),
-        );
-        let b = out.barrier.expect("sharded run exposes barrier stats");
-        assert!(b.epochs > 0, "seed {seed}: no barrier epochs opened");
-        assert!(
-            b.crossed > 0,
-            "seed {seed}: the 8-shard chaos mix must exchange cross-shard events"
-        );
-        assert!(
-            b.min_slack_us >= 0,
-            "seed {seed}: a cross-shard event was due {} us before its \
-             sender's epoch closed",
-            -b.min_slack_us
-        );
-    }
 }
 
 /// Attaching a journal sink must not perturb the simulation: the journaled
