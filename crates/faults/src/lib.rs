@@ -236,73 +236,6 @@ impl FaultInjector {
     }
 }
 
-/// Per-shard fault-*application* fingerprints for a sharded engine. No
-/// engine path uses them: the platform engine runs on one serial queue.
-///
-/// Fault *draws* (when, what kind, which target) stay on one global injector
-/// stream so the fault schedule is partition-independent — the same seed
-/// produces the same `FaultLog` at every shard count. What differs per shard
-/// is which applications land in its server range. `ShardFaultLanes` folds
-/// every application a shard handles into a running FNV-1a fingerprint plus
-/// a count, giving per-shard checkpoint records an injector-position analogue
-/// (`FaultInjector::state_fingerprint`) without putting shard-dependent bytes
-/// into the journal.
-#[derive(Debug, Clone)]
-pub struct ShardFaultLanes {
-    fps: Vec<u64>,
-    counts: Vec<u64>,
-}
-
-impl ShardFaultLanes {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-    /// One empty lane per shard.
-    pub fn new(shards: usize) -> Self {
-        assert!(shards >= 1, "at least one shard lane");
-        ShardFaultLanes {
-            fps: vec![Self::FNV_OFFSET; shards],
-            counts: vec![0; shards],
-        }
-    }
-
-    pub fn shards(&self) -> usize {
-        self.fps.len()
-    }
-
-    /// Record one fault application handled by `shard`. `kind_tag` is a
-    /// stable per-kind byte, `target` the server/instance index hit (or -1
-    /// for cluster-wide faults), `at_us` the application time.
-    pub fn note(&mut self, shard: usize, kind_tag: u8, target: i64, at_us: u64) {
-        let fp = &mut self.fps[shard];
-        for w in [kind_tag as u64, target as u64, at_us] {
-            *fp = (*fp ^ w).wrapping_mul(Self::FNV_PRIME);
-        }
-        self.counts[shard] += 1;
-    }
-
-    /// Fingerprint of every application `shard` has handled so far.
-    pub fn fingerprint(&self, shard: usize) -> u64 {
-        self.fps[shard]
-    }
-
-    /// How many applications `shard` has handled.
-    pub fn count(&self, shard: usize) -> u64 {
-        self.counts[shard]
-    }
-
-    /// Order-sensitive fold of all lanes, for whole-run comparisons.
-    pub fn combined_fingerprint(&self) -> u64 {
-        let mut fp = Self::FNV_OFFSET;
-        for (lane_fp, count) in self.fps.iter().zip(&self.counts) {
-            for w in [*lane_fp, *count] {
-                fp = (fp ^ w).wrapping_mul(Self::FNV_PRIME);
-            }
-        }
-        fp
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,48 +378,5 @@ mod tests {
             let j = inj.gateway_jitter();
             assert!(j < SimTime::from_millis(2.0));
         }
-    }
-
-    #[test]
-    fn shard_lanes_replay_deterministically() {
-        let mut a = ShardFaultLanes::new(4);
-        let mut b = ShardFaultLanes::new(4);
-        for lanes in [&mut a, &mut b] {
-            lanes.note(1, 0, 3, 1_000);
-            lanes.note(1, 1, 5, 2_000);
-            lanes.note(3, 3, -1, 2_500);
-        }
-        for s in 0..4 {
-            assert_eq!(a.fingerprint(s), b.fingerprint(s));
-            assert_eq!(a.count(s), b.count(s));
-        }
-        assert_eq!(a.combined_fingerprint(), b.combined_fingerprint());
-        assert_eq!(a.count(1), 2);
-        assert_eq!(a.count(0), 0);
-    }
-
-    #[test]
-    fn shard_lanes_are_independent_and_order_sensitive() {
-        let mut lanes = ShardFaultLanes::new(2);
-        let untouched = lanes.fingerprint(1);
-        lanes.note(0, 2, 7, 9_000);
-        assert_eq!(
-            lanes.fingerprint(1),
-            untouched,
-            "noting on shard 0 must not move shard 1's lane"
-        );
-        assert_ne!(lanes.fingerprint(0), untouched);
-
-        let mut ab = ShardFaultLanes::new(1);
-        ab.note(0, 0, 1, 10);
-        ab.note(0, 1, 2, 20);
-        let mut ba = ShardFaultLanes::new(1);
-        ba.note(0, 1, 2, 20);
-        ba.note(0, 0, 1, 10);
-        assert_ne!(
-            ab.fingerprint(0),
-            ba.fingerprint(0),
-            "application order is part of the fingerprint"
-        );
     }
 }

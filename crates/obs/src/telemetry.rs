@@ -8,6 +8,7 @@
 //! seeded simulation). Everything exports as JSONL (one metric per line) or
 //! CSV via the shared summary schema.
 
+use crate::journal::{JournalEvent, PlacementKind};
 use crate::json::Json;
 use simcore::stats::OnlineStats;
 use std::collections::BTreeMap;
@@ -105,42 +106,84 @@ impl Telemetry {
 
     /// Add `by` to a counter (creating it at zero).
     pub fn incr(&mut self, name: &str, by: u64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Counter(0))
-        {
-            Metric::Counter(c) => *c += by,
-            _ => panic!("telemetry metric '{name}' is not a counter"),
+        // Look up before inserting: the key string is allocated only once,
+        // on first use, not on every call.
+        match self.metrics.get_mut(name) {
+            Some(Metric::Counter(c)) => *c += by,
+            Some(_) => panic!("telemetry metric '{name}' is not a counter"),
+            None => {
+                self.metrics.insert(name.to_string(), Metric::Counter(0));
+                self.incr(name, by);
+            }
         }
     }
 
     /// Set a gauge's current value (also feeds its running moments).
     pub fn gauge(&mut self, name: &str, value: f64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert(Metric::Gauge {
-                last: 0.0,
-                stats: OnlineStats::new(),
-            }) {
-            Metric::Gauge { last, stats } => {
+        match self.metrics.get_mut(name) {
+            Some(Metric::Gauge { last, stats }) => {
                 *last = value;
                 stats.push(value);
             }
-            _ => panic!("telemetry metric '{name}' is not a gauge"),
+            Some(_) => panic!("telemetry metric '{name}' is not a gauge"),
+            None => {
+                let fresh = Metric::Gauge {
+                    last: 0.0,
+                    stats: OnlineStats::new(),
+                };
+                self.metrics.insert(name.to_string(), fresh);
+                self.gauge(name, value);
+            }
         }
     }
 
     /// Record an observation into a histogram.
     pub fn observe(&mut self, name: &str, value: f64) {
-        match self
-            .metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Histogram(LogHistogram::default()))
-        {
-            Metric::Histogram(h) => h.observe(value),
-            _ => panic!("telemetry metric '{name}' is not a histogram"),
+        match self.metrics.get_mut(name) {
+            Some(Metric::Histogram(h)) => h.observe(value),
+            Some(_) => panic!("telemetry metric '{name}' is not a histogram"),
+            None => {
+                let fresh = Metric::Histogram(LogHistogram::default());
+                self.metrics.insert(name.to_string(), fresh);
+                self.observe(name, value);
+            }
+        }
+    }
+
+    /// Count one journaled run fact: the request, gateway, function,
+    /// cold-start and autoscaler counters and latency histograms are folds
+    /// of the event stream. Events that carry no counted fact change nothing.
+    pub fn apply(&mut self, event: &JournalEvent) {
+        match event {
+            JournalEvent::Arrival { .. } => self.incr("requests.arrivals", 1),
+            JournalEvent::Shed { .. } => self.incr("requests.shed", 1),
+            JournalEvent::GatewayForward { ms, .. } => {
+                self.incr("gateway.forwards", 1);
+                self.observe("gateway.forward_ms", *ms);
+            }
+            JournalEvent::ColdStart { .. } => self.incr("instances.cold_starts", 1),
+            JournalEvent::TaskDone { local_ms, .. } => {
+                self.incr("functions.completions", 1);
+                self.observe("function.local_ms", *local_ms);
+            }
+            JournalEvent::Completed { e2e_ms, .. } => {
+                self.incr("requests.completions", 1);
+                self.observe("request.e2e_ms", *e2e_ms);
+            }
+            JournalEvent::Retry { .. } => self.incr("requests.retries", 1),
+            JournalEvent::Failed { .. } => self.incr("requests.failures", 1),
+            JournalEvent::Placement { kind, .. } => match kind {
+                PlacementKind::Initial => {}
+                PlacementKind::ScaleOut => self.incr("autoscaler.scale_outs", 1),
+                PlacementKind::Rewarm => self.incr("autoscaler.rewarms", 1),
+            },
+            JournalEvent::Deploy { .. }
+            | JournalEvent::MetricSample { .. }
+            | JournalEvent::Utilization { .. }
+            | JournalEvent::Fault { .. }
+            | JournalEvent::TelemetrySnapshot { .. }
+            | JournalEvent::Checkpoint(_)
+            | JournalEvent::RunEnd { .. } => {}
         }
     }
 
@@ -367,6 +410,179 @@ mod tests {
         assert_eq!(a.counter("n"), 3);
         assert_eq!(a.histogram("h").unwrap().count(), 2);
         assert_eq!(a.gauge_value("g"), Some(5.0));
+    }
+
+    #[test]
+    fn apply_counts_exactly_the_journaled_facts() {
+        use crate::journal::CheckpointState;
+        let placement = |kind| JournalEvent::Placement {
+            kind,
+            wl: 0,
+            node: 1,
+            server: 2,
+            socket: 0,
+        };
+        let checkpoint = CheckpointState {
+            at_us: 0,
+            sim_rng: [0; 4],
+            retry_rng: [0; 4],
+            fault_fingerprint: 0,
+            pending_events: 0,
+            gateway_depth: 0,
+            instances_total: 0,
+            instances_alive: 0,
+            instance_table_fp: 0,
+            tasks_created: 0,
+            requests_created: 0,
+            requests_settled: 0,
+        };
+        // (event, counters it bumps by one, histograms it observes once)
+        type Case = (
+            JournalEvent,
+            &'static [&'static str],
+            &'static [(&'static str, f64)],
+        );
+        let cases: Vec<Case> = vec![
+            (
+                JournalEvent::Deploy {
+                    wl: 0,
+                    nodes: 2,
+                    name: "w".into(),
+                },
+                &[],
+                &[],
+            ),
+            (placement(PlacementKind::Initial), &[], &[]),
+            (
+                placement(PlacementKind::ScaleOut),
+                &["autoscaler.scale_outs"],
+                &[],
+            ),
+            (
+                placement(PlacementKind::Rewarm),
+                &["autoscaler.rewarms"],
+                &[],
+            ),
+            (
+                JournalEvent::Arrival { wl: 0, req: 7 },
+                &["requests.arrivals"],
+                &[],
+            ),
+            (
+                JournalEvent::Shed { wl: 0, req: 7 },
+                &["requests.shed"],
+                &[],
+            ),
+            (
+                JournalEvent::GatewayForward { req: 7, ms: 1.5 },
+                &["gateway.forwards"],
+                &[("gateway.forward_ms", 1.5)],
+            ),
+            (
+                JournalEvent::ColdStart {
+                    wl: 0,
+                    node: 1,
+                    req: 7,
+                },
+                &["instances.cold_starts"],
+                &[],
+            ),
+            (
+                JournalEvent::TaskDone {
+                    wl: 0,
+                    node: 1,
+                    req: 7,
+                    local_ms: 4.0,
+                },
+                &["functions.completions"],
+                &[("function.local_ms", 4.0)],
+            ),
+            (
+                JournalEvent::Completed {
+                    wl: 0,
+                    req: 7,
+                    e2e_ms: 9.0,
+                },
+                &["requests.completions"],
+                &[("request.e2e_ms", 9.0)],
+            ),
+            (
+                JournalEvent::Retry {
+                    wl: 0,
+                    req: 7,
+                    delay_ms: 20.0,
+                },
+                &["requests.retries"],
+                &[],
+            ),
+            (
+                JournalEvent::Failed {
+                    wl: 0,
+                    req: 7,
+                    attempts: 3,
+                },
+                &["requests.failures"],
+                &[],
+            ),
+            (
+                JournalEvent::MetricSample {
+                    wl: 0,
+                    node: 1,
+                    values: vec![1.0; 3],
+                },
+                &[],
+                &[],
+            ),
+            (
+                JournalEvent::Utilization {
+                    cpu: vec![0.5],
+                    memory: vec![0.25],
+                    density: 1.0,
+                    instances: 4,
+                },
+                &[],
+                &[],
+            ),
+            (
+                JournalEvent::Fault {
+                    kind: "server_crash".into(),
+                    target: 2,
+                    value: 0.0,
+                },
+                &[],
+                &[],
+            ),
+            (
+                JournalEvent::TelemetrySnapshot {
+                    jsonl: String::new(),
+                },
+                &[],
+                &[],
+            ),
+            (JournalEvent::Checkpoint(checkpoint), &[], &[]),
+            (JournalEvent::RunEnd { horizon_us: 10 }, &[], &[]),
+        ];
+        assert_eq!(
+            cases.len(),
+            18,
+            "one case per variant, three placement kinds"
+        );
+        for (event, counters, histograms) in cases {
+            let mut t = Telemetry::new();
+            t.apply(&event);
+            let mut expected: Vec<&str> = counters.to_vec();
+            expected.extend(histograms.iter().map(|&(name, _)| name));
+            expected.sort_unstable();
+            assert_eq!(t.names().collect::<Vec<_>>(), expected, "{event:?}");
+            for &name in counters {
+                assert_eq!(t.counter(name), 1, "{event:?}: {name}");
+            }
+            for &(name, value) in histograms {
+                let h = t.histogram(name).expect("histogram recorded");
+                assert_eq!(h.count(), 1, "{event:?}: {name}");
+                assert_eq!(h.stats().mean(), value, "{event:?}: {name}");
+            }
+        }
     }
 
     #[test]

@@ -16,14 +16,15 @@
 
 use crate::config::{PlatformConfig, ResilienceConfig};
 use crate::gateway::{Forward, Gateway};
-use crate::report::{FunctionSeries, RunReport, UtilizationSample, WorkloadSeries};
+use crate::replay;
+use crate::report::RunReport;
 use crate::scale::{placement_journal_event, ClusterView, PlacementDecision, Placer};
 use cluster::{InstanceId, ServerState};
 use faults::{FaultConfig, FaultInjector, FaultKind};
 use metricsd::MetricVector;
 use obs::journal::{CheckpointState, JournalEvent, PlacementKind};
 use obs::json::Json;
-use obs::{FaultRecord, Obs, SpanRecord, Track};
+use obs::{Obs, SpanRecord, Track};
 use simcore::rng::seed_stream;
 use simcore::{EventHandle, EventQueue, SimRng, SimTime};
 use std::collections::{BTreeSet, VecDeque};
@@ -348,19 +349,30 @@ impl Simulation {
     }
 
     /// Append one event to the attached journal, if any. Off-path cost is a
-    /// single `Option` check; callers that must *build* an event (clone a
-    /// string, collect a vector) should guard with [`Simulation::journaling`]
-    /// first so journal-off runs allocate nothing.
-    fn journal(&mut self, at: SimTime, ev: JournalEvent) {
+    /// single `Option` check.
+    fn journal(&mut self, at: SimTime, ev: &JournalEvent) {
         if let Some(j) = self.obs.journal.as_mut() {
-            j.record(at.as_micros(), &ev);
+            j.record(at.as_micros(), ev);
         }
     }
 
-    /// Whether a journal sink is attached.
-    #[inline]
-    fn journaling(&self) -> bool {
-        self.obs.journal.is_some()
+    /// Record one run fact — the only way the engine does. The event goes
+    /// to the attached journal, if any, then through the telemetry fold
+    /// ([`obs::Telemetry::apply`]) and the report/fault-log fold
+    /// ([`replay::apply`]) that journal replay runs too, so live and
+    /// replayed artifacts agree by construction.
+    fn emit(&mut self, at: SimTime, ev: JournalEvent) {
+        self.journal(at, &ev);
+        if let Some(t) = self.obs.telemetry.as_mut() {
+            t.apply(&ev);
+        }
+        replay::apply(
+            &mut self.report,
+            self.obs.faults.as_mut(),
+            at.as_micros(),
+            ev,
+        )
+        .expect("the engine emitted an event its own fold rejects");
     }
 
     /// Install a fault-injection config. With any class enabled, the first
@@ -481,28 +493,21 @@ impl Simulation {
             instances.push(insts);
         }
 
-        self.report.workloads.push(WorkloadSeries {
-            functions: vec![FunctionSeries::default(); g.len()],
-            ..Default::default()
-        });
-
-        if self.journaling() {
-            let now = self.queue.now();
-            self.journal(
-                now,
-                JournalEvent::Deploy {
-                    wl: wl as u32,
-                    nodes: g.len() as u32,
-                    name: workload.name.clone(),
-                },
-            );
-            for (node, placements) in placement.iter().enumerate() {
-                for p in placements {
-                    self.journal(
-                        now,
-                        placement_journal_event(PlacementKind::Initial, wl, node, p),
-                    );
-                }
+        let now = self.queue.now();
+        self.emit(
+            now,
+            JournalEvent::Deploy {
+                wl: wl as u32,
+                nodes: g.len() as u32,
+                name: workload.name.clone(),
+            },
+        );
+        for (node, placements) in placement.iter().enumerate() {
+            for p in placements {
+                self.emit(
+                    now,
+                    placement_journal_event(PlacementKind::Initial, wl, node, p),
+                );
             }
         }
 
@@ -542,24 +547,23 @@ impl Simulation {
             self.events_processed += 1;
             self.dispatch(now, ev);
         }
-        self.report.horizon = end;
-        self.report.gateway_forward_ms = self.gateway.forward_latencies().to_vec();
-        if self.journaling() {
-            // Final telemetry snapshot, then the run-end sentinel; `finish`
-            // flushes buffered bytes so the file is replayable immediately.
+        // Final telemetry snapshot (journal only), then the run-end
+        // sentinel; `finish` flushes buffered bytes so the file is
+        // replayable immediately.
+        if self.obs.journal.is_some() {
             let jsonl = self.obs.telemetry.as_ref().map(|t| t.to_jsonl());
             if let Some(jsonl) = jsonl {
-                self.journal(end, JournalEvent::TelemetrySnapshot { jsonl });
+                self.journal(end, &JournalEvent::TelemetrySnapshot { jsonl });
             }
-            self.journal(
-                end,
-                JournalEvent::RunEnd {
-                    horizon_us: end.as_micros(),
-                },
-            );
-            if let Some(j) = self.obs.journal.as_mut() {
-                j.finish();
-            }
+        }
+        self.emit(
+            end,
+            JournalEvent::RunEnd {
+                horizon_us: end.as_micros(),
+            },
+        );
+        if let Some(j) = self.obs.journal.as_mut() {
+            j.finish();
         }
     }
 
@@ -634,11 +638,7 @@ impl Simulation {
             attempt: 0,
             outcome: None,
         });
-        self.report.workloads[wl].arrivals += 1;
-        self.journal(now, JournalEvent::Arrival { wl: wl as u32, req });
-        if let Some(t) = self.obs.telemetry.as_mut() {
-            t.incr("requests.arrivals", 1);
-        }
+        self.emit(now, JournalEvent::Arrival { wl: wl as u32, req });
         // Load shedding: refuse the request outright while the gateway
         // queue is at or past the configured depth.
         if self
@@ -649,11 +649,7 @@ impl Simulation {
             let r = &mut self.requests[req as usize];
             r.outcome = Some(Outcome::Shed);
             r.done = true;
-            self.report.workloads[wl].shed += 1;
-            self.journal(now, JournalEvent::Shed { wl: wl as u32, req });
-            if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.shed", 1);
-            }
+            self.emit(now, JournalEvent::Shed { wl: wl as u32, req });
             self.log_fault(now, "shed", req as i64, self.gateway.depth() as f64);
             return;
         }
@@ -699,14 +695,17 @@ impl Simulation {
     }
 
     fn on_gateway_done(&mut self, now: SimTime, fwd: Forward) {
-        let fwd_ms = self.gateway.record_latency(fwd.enqueued_at, now);
-        self.journal(now, fwd.journal_event(fwd_ms));
-        if let Some(t) = self.obs.telemetry.as_mut() {
-            t.incr("gateway.forwards", 1);
-            t.observe("gateway.forward_ms", now.since(fwd.enqueued_at).as_millis());
-        }
-        // Forwards from an aborted attempt (or a settled request) are stale:
-        // the gateway spent service time on them, but nothing is delivered.
+        // Every served forward counts toward the gateway overhead (wait +
+        // service). Forwards from an aborted attempt (or a settled request)
+        // are stale: the gateway spent service time on them, but nothing is
+        // delivered.
+        self.emit(
+            now,
+            JournalEvent::GatewayForward {
+                req: fwd.req,
+                ms: now.since(fwd.enqueued_at).as_millis(),
+            },
+        );
         {
             let r = &self.requests[fwd.req as usize];
             if r.outcome.is_some() || r.attempt != fwd.attempt {
@@ -837,9 +836,8 @@ impl Simulation {
                     .invocation_phases(cold)
             };
             if cold {
-                self.report.workloads[wl].functions[node].cold_starts += 1;
                 let req = self.tasks[task_id].req;
-                self.journal(
+                self.emit(
                     now,
                     JournalEvent::ColdStart {
                         wl: wl as u32,
@@ -851,9 +849,6 @@ impl Simulation {
             {
                 let wait_ms = now.since(self.tasks[task_id].enqueued_at).as_millis();
                 if let Some(t) = self.obs.telemetry.as_mut() {
-                    if cold {
-                        t.incr("instances.cold_starts", 1);
-                    }
                     t.observe("instance.queue_wait_ms", wait_ms);
                 }
                 if self.obs.tracing() {
@@ -1013,12 +1008,7 @@ impl Simulation {
         };
         let local_ms = now.since(self.tasks[task_id].enqueued_at).as_millis();
         self.tasks[task_id].service_done = now;
-        {
-            let fs = &mut self.report.workloads[wl].functions[node];
-            fs.local_latencies_ms.push(local_ms);
-            fs.completions += 1;
-        }
-        self.journal(
+        self.emit(
             now,
             JournalEvent::TaskDone {
                 wl: wl as u32,
@@ -1027,10 +1017,6 @@ impl Simulation {
                 local_ms,
             },
         );
-        if let Some(t) = self.obs.telemetry.as_mut() {
-            t.incr("functions.completions", 1);
-            t.observe("function.local_ms", local_ms);
-        }
         if let Some(load_id) = self.tasks[task_id].load_id.take() {
             self.servers[server].remove(load_id);
             self.server_tasks[server].retain(|&t| t != task_id);
@@ -1149,10 +1135,7 @@ impl Simulation {
             r.outcome = Some(Outcome::Completed);
             let arrival = r.arrival;
             let e2e = now.since(arrival).as_millis();
-            let series = &mut self.report.workloads[wl];
-            series.e2e_latencies_ms.push(e2e);
-            series.completions += 1;
-            self.journal(
+            self.emit(
                 now,
                 JournalEvent::Completed {
                     wl: wl as u32,
@@ -1161,8 +1144,6 @@ impl Simulation {
                 },
             );
             if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.completions", 1);
-                t.observe("request.e2e_ms", e2e);
                 if self.sla_ms[wl].is_some_and(|sla| e2e > sla) {
                     t.incr("sla.violations", 1);
                 }
@@ -1225,19 +1206,14 @@ impl Simulation {
             for (node, vecs) in nodes.into_iter().enumerate() {
                 if !vecs.is_empty() {
                     let m = MetricVector::mean_of(&vecs);
-                    if self.journaling() {
-                        self.journal(
-                            now,
-                            JournalEvent::MetricSample {
-                                wl: wl as u32,
-                                node: node as u32,
-                                values: m.as_slice().to_vec(),
-                            },
-                        );
-                    }
-                    self.report.workloads[wl].functions[node]
-                        .metric_samples
-                        .push(m);
+                    self.emit(
+                        now,
+                        JournalEvent::MetricSample {
+                            wl: wl as u32,
+                            node: node as u32,
+                            values: m.as_slice().to_vec(),
+                        },
+                    );
                 }
             }
         }
@@ -1254,24 +1230,15 @@ impl Simulation {
         } else {
             0.0
         };
-        if self.journaling() {
-            self.journal(
-                now,
-                JournalEvent::Utilization {
-                    cpu: cpu_utils.clone(),
-                    memory: mem_utils.clone(),
-                    density,
-                    instances: self.instance_count as u64,
-                },
-            );
-        }
-        self.report.utilization.push(UtilizationSample {
-            at: now,
-            cpu: cpu_utils,
-            memory: mem_utils,
-            function_density: density,
-            instances: self.instance_count,
-        });
+        self.emit(
+            now,
+            JournalEvent::Utilization {
+                cpu: cpu_utils,
+                memory: mem_utils,
+                density,
+                instances: self.instance_count as u64,
+            },
+        );
 
         if let Some(t) = self.obs.telemetry.as_mut() {
             let queued: usize = self
@@ -1293,7 +1260,7 @@ impl Simulation {
         // the queue) and aligned with a consistent post-autoscale state.
         if self.checkpoint_every > SimTime::ZERO && now >= self.next_checkpoint {
             let state = self.checkpoint_state(now);
-            self.journal(now, JournalEvent::Checkpoint(state));
+            self.journal(now, &JournalEvent::Checkpoint(state));
             while self.next_checkpoint <= now {
                 self.next_checkpoint = self.next_checkpoint.plus(self.checkpoint_every);
             }
@@ -1439,14 +1406,10 @@ impl Simulation {
                     alive: true,
                 });
                 self.instance_count += 1;
-                self.report.scale_outs.push((now, wl, node));
-                self.journal(
+                self.emit(
                     now,
                     placement_journal_event(PlacementKind::ScaleOut, wl, node, &p),
                 );
-                if let Some(t) = self.obs.telemetry.as_mut() {
-                    t.incr("autoscaler.scale_outs", 1);
-                }
             } else if let Some(t) = self.obs.telemetry.as_mut() {
                 t.incr("autoscaler.rejections", 1);
             }
@@ -1457,26 +1420,18 @@ impl Simulation {
     // Fault injection & degradation
     // ------------------------------------------------------------------
 
+    /// Record a fault or recovery action. Fault records are run facts only
+    /// while a fault log is attached: runs without one journal none.
     fn log_fault(&mut self, now: SimTime, kind: &'static str, target: i64, value: f64) {
-        if let Some(fl) = self.obs.faults.as_mut() {
-            fl.push(FaultRecord {
-                at_ms: now.as_millis(),
-                kind,
-                target,
-                value,
-            });
-            // Journal the fault record alongside the log push (same guard),
-            // so a replayed FaultLog matches the live one entry-for-entry.
-            if self.obs.journal.is_some() {
-                self.journal(
-                    now,
-                    JournalEvent::Fault {
-                        kind: kind.to_string(),
-                        target,
-                        value,
-                    },
-                );
-            }
+        if self.obs.faults.is_some() {
+            self.emit(
+                now,
+                JournalEvent::Fault {
+                    kind: kind.to_string(),
+                    target,
+                    value,
+                },
+            );
         }
     }
 
@@ -1704,13 +1659,10 @@ impl Simulation {
                 });
                 self.instance_count += 1;
                 self.log_fault(now, "rewarm", p.server as i64, node as f64);
-                self.journal(
+                self.emit(
                     now,
                     placement_journal_event(PlacementKind::Rewarm, wl, node, &p),
                 );
-                if let Some(t) = self.obs.telemetry.as_mut() {
-                    t.incr("autoscaler.rewarms", 1);
-                }
             }
         }
     }
@@ -1730,8 +1682,7 @@ impl Simulation {
         if attempt < self.resilience.max_retries {
             let u = self.retry_rng.f64();
             let delay = self.resilience.backoff_delay(attempt, u);
-            self.report.workloads[wl].retries += 1;
-            self.journal(
+            self.emit(
                 now,
                 JournalEvent::Retry {
                     wl: wl as u32,
@@ -1739,9 +1690,6 @@ impl Simulation {
                     delay_ms: delay.as_millis(),
                 },
             );
-            if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.retries", 1);
-            }
             self.log_fault(now, "retry", req as i64, delay.as_millis());
             self.queue
                 .schedule(now.plus(delay), Ev::RetryRequest { req });
@@ -1749,8 +1697,7 @@ impl Simulation {
             let r = &mut self.requests[req as usize];
             r.outcome = Some(Outcome::Failed);
             r.done = true;
-            self.report.workloads[wl].failed += 1;
-            self.journal(
+            self.emit(
                 now,
                 JournalEvent::Failed {
                     wl: wl as u32,
@@ -1758,9 +1705,6 @@ impl Simulation {
                     attempts: attempt,
                 },
             );
-            if let Some(t) = self.obs.telemetry.as_mut() {
-                t.incr("requests.failures", 1);
-            }
             self.log_fault(now, "request_failed", req as i64, attempt as f64);
         }
     }
@@ -2336,6 +2280,68 @@ mod tests {
         let ws = &sim.report().workloads[0];
         assert!(ws.shed > 0, "overload must shed");
         assert_eq!(ws.arrivals, ws.completions + ws.shed + ws.failed);
+    }
+
+    #[test]
+    fn fault_log_is_the_same_with_and_without_a_journal() {
+        // The fault log is a fold of the emitted events, so attaching a
+        // journal must not change a single record.
+        let run = |journal: bool| {
+            let mut sim = Simulation::new(PlatformConfig::paper_testbed(21));
+            let w = socialnetwork::message_posting();
+            let placement = (0..w.graph.len())
+                .map(|node| {
+                    (0..2)
+                        .map(|i| PlacementDecision {
+                            server: (node + i) % 4,
+                            socket: 0,
+                        })
+                        .collect()
+                })
+                .collect();
+            sim.deploy(Deployment {
+                workload: w,
+                placement,
+                arrivals: ArrivalSpec::OpenLoop(uniform_arrivals(40.0, SimTime::from_secs(60.0))),
+            });
+            let mut bundle = Obs::off().with_fault_log();
+            if journal {
+                let sink = obs::journal::MemoryJournal::in_memory(&Json::obj(), None);
+                bundle = bundle.with_journal(Box::new(sink));
+            }
+            sim.set_obs(bundle);
+            sim.set_faults(FaultConfig {
+                seed: 21,
+                server_crash_rate_per_min: 2.0,
+                slowdown_rate_per_min: 4.0,
+                oom_rate_per_min: 2.0,
+                cold_storm_rate_per_min: 1.0,
+                gateway_drop_prob: 0.02,
+                gateway_jitter_max: SimTime::from_millis(2.0),
+                predictor_outage_rate_per_min: 1.0,
+                ..FaultConfig::off()
+            });
+            sim.set_resilience(ResilienceConfig {
+                request_timeout: Some(SimTime::from_secs(2.0)),
+                max_retries: 2,
+                shed_queue_depth: Some(40),
+                ..Default::default()
+            });
+            sim.run_until(SimTime::from_secs(60.0));
+            let bundle = sim.take_obs();
+            let records = bundle.journal.map_or(0, |j| j.stats().records);
+            (bundle.faults.expect("fault log attached"), records)
+        };
+        let (plain, no_records) = run(false);
+        let (journaled, records) = run(true);
+        assert_eq!(no_records, 0);
+        assert!(records > 0, "the journaled run must write records");
+        let kinds = plain.counts();
+        assert!(
+            kinds.len() >= 8,
+            "the point must exercise most fault kinds: {kinds:?}"
+        );
+        assert_eq!(plain.to_jsonl(), journaled.to_jsonl());
     }
 
     #[test]

@@ -28,22 +28,11 @@ pub struct Forward {
     pub attempt: u32,
 }
 
-impl Forward {
-    /// Journal record for this forward's completed service. Stale forwards
-    /// (of aborted attempts) are journaled too: their latency still lands in
-    /// the live run's report vector, and replay must match it exactly.
-    pub(crate) fn journal_event(&self, ms: f64) -> obs::journal::JournalEvent {
-        obs::journal::JournalEvent::GatewayForward { req: self.req, ms }
-    }
-}
-
 /// FIFO gateway state.
 #[derive(Debug, Clone, Default)]
 pub struct Gateway {
     queue: VecDeque<Forward>,
     busy: bool,
-    /// Completed-forward latencies (wait + service), for Fig. 14.
-    forward_latencies: Vec<f64>,
 }
 
 impl Gateway {
@@ -81,14 +70,6 @@ impl Gateway {
         }
     }
 
-    /// Record a completed forward's total latency (for the overhead study)
-    /// and return it, so the caller can journal the exact recorded value.
-    pub fn record_latency(&mut self, enqueued_at: SimTime, now: SimTime) -> f64 {
-        let ms = now.since(enqueued_at).as_millis();
-        self.forward_latencies.push(ms);
-        ms
-    }
-
     /// Current queue depth.
     pub fn depth(&self) -> usize {
         self.queue.len()
@@ -97,11 +78,6 @@ impl Gateway {
     /// Whether a forward is in service.
     pub fn is_busy(&self) -> bool {
         self.busy
-    }
-
-    /// Completed-forward latencies in ms.
-    pub fn forward_latencies(&self) -> &[f64] {
-        &self.forward_latencies
     }
 }
 
@@ -166,9 +142,28 @@ mod tests {
 
     #[test]
     fn latency_recording() {
-        let mut g = Gateway::new();
-        let ms = g.record_latency(SimTime::ZERO, SimTime::from_millis(2.0));
-        assert_eq!(ms, 2.0);
-        assert_eq!(g.forward_latencies(), &[2.0]);
+        // Two requests arrive together: the second forward waits out the
+        // first one's service, and its recorded latency includes that wait.
+        use crate::engine::{ArrivalSpec, Deployment, Simulation};
+        use crate::scale::PlacementDecision;
+        let config = crate::PlatformConfig::small(1);
+        let service = config.gateway.forward_time(1);
+        let mut sim = Simulation::new(config);
+        let w = workloads::functionbench::float_operation();
+        assert_eq!(w.graph.len(), 1);
+        let at = SimTime::from_secs(0.1);
+        sim.deploy(Deployment {
+            workload: w,
+            placement: vec![vec![PlacementDecision {
+                server: 0,
+                socket: 0,
+            }]],
+            arrivals: ArrivalSpec::OpenLoop(vec![at, at]),
+        });
+        sim.run_until(SimTime::from_secs(5.0));
+        assert_eq!(
+            sim.report().gateway_forward_ms,
+            vec![service.as_millis(), service.plus(service).as_millis()]
+        );
     }
 }

@@ -1,18 +1,19 @@
-//! Journal replay: reconstruct run artifacts without re-simulating.
+//! The run-artifact fold and journal replay.
 //!
-//! A journal (see [`obs::journal`]) captures every report-relevant event a
-//! run emitted. Folding those records back through [`replay`] rebuilds the
-//! [`RunReport`], the [`FaultLog`], and the final telemetry snapshot in one
-//! linear pass — no event queue, no contention model, no RNG. The contract
-//! is *byte-identity*: a replayed report renders exactly the bytes the live
-//! run's report did ([`RunReport::render_json`]), the replayed fault log's
-//! JSONL and summary match the live ones, and the telemetry snapshot is the
-//! verbatim string the engine journaled at run end.
+//! Every run fact the engine records is one [`JournalEvent`], and [`apply`]
+//! is the one place such an event writes the [`RunReport`] and the
+//! [`FaultLog`]. The engine applies each event as it emits it; [`replay`]
+//! applies each record of a journal in one linear pass — no event queue, no
+//! contention model, no RNG. Live and replayed artifacts are the same fold
+//! of the same stream, so a replayed report renders exactly the bytes the
+//! live run's report did ([`RunReport::render_json`]) and the replayed fault
+//! log's JSONL and summary match the live ones. The telemetry snapshot is
+//! the verbatim string the engine journaled at run end.
 
 use crate::report::{FunctionSeries, RunReport, UtilizationSample, WorkloadSeries};
 use metricsd::MetricVector;
 use obs::faultlog::{intern_kind, FaultLog};
-use obs::journal::{CheckpointState, JournalEvent, JournalRecord};
+use obs::journal::{CheckpointState, JournalEvent, JournalRecord, PlacementKind};
 use obs::FaultRecord;
 use simcore::SimTime;
 
@@ -33,145 +34,140 @@ pub struct Replayed {
     pub records: usize,
 }
 
-fn wl_mut(report: &mut RunReport, wl: u32, seq: u64) -> Result<&mut WorkloadSeries, String> {
+fn workload_mut(report: &mut RunReport, wl: u32) -> Result<&mut WorkloadSeries, String> {
     report
         .workloads
         .get_mut(wl as usize)
-        .ok_or_else(|| format!("record seq={seq} references undeployed workload {wl}"))
+        .ok_or_else(|| format!("event references undeployed workload {wl}"))
 }
 
-/// Fold a parsed journal's records into run artifacts. Errors on records
-/// that reference workloads/nodes never deployed, malformed metric samples,
-/// or fault kinds outside the engine's known label set — all symptoms of a
-/// journal that did not come from this engine.
+fn function_mut<'a>(
+    report: &'a mut RunReport,
+    wl: u32,
+    node: u32,
+    what: &str,
+) -> Result<&'a mut FunctionSeries, String> {
+    workload_mut(report, wl)?
+        .functions
+        .get_mut(node as usize)
+        .ok_or_else(|| format!("{what} on unknown node {node} of workload {wl}"))
+}
+
+/// Apply one event at sim time `at_us` to the report and, when one is
+/// attached, the fault log. Telemetry snapshots and checkpoints write
+/// neither. Errors on events that reference workloads or nodes never
+/// deployed, malformed metric samples, or fault kinds outside the engine's
+/// known label set — all symptoms of a stream that did not come from this
+/// engine.
+pub(crate) fn apply(
+    report: &mut RunReport,
+    faults: Option<&mut FaultLog>,
+    at_us: u64,
+    event: JournalEvent,
+) -> Result<(), String> {
+    match event {
+        JournalEvent::Deploy { wl, nodes, .. } => {
+            if wl as usize != report.workloads.len() {
+                return Err(format!(
+                    "deploy of workload {wl} out of order (have {})",
+                    report.workloads.len()
+                ));
+            }
+            report.workloads.push(WorkloadSeries {
+                functions: vec![FunctionSeries::default(); nodes as usize],
+                ..Default::default()
+            });
+        }
+        JournalEvent::Placement { kind, wl, node, .. } => {
+            function_mut(report, wl, node, "placement")?;
+            if kind == PlacementKind::ScaleOut {
+                report
+                    .scale_outs
+                    .push((SimTime::from_micros(at_us), wl as usize, node as usize));
+            }
+        }
+        JournalEvent::Arrival { wl, .. } => workload_mut(report, wl)?.arrivals += 1,
+        JournalEvent::Shed { wl, .. } => workload_mut(report, wl)?.shed += 1,
+        JournalEvent::GatewayForward { ms, .. } => report.gateway_forward_ms.push(ms),
+        JournalEvent::ColdStart { wl, node, .. } => {
+            function_mut(report, wl, node, "cold start")?.cold_starts += 1;
+        }
+        JournalEvent::TaskDone {
+            wl, node, local_ms, ..
+        } => {
+            let f = function_mut(report, wl, node, "task done")?;
+            f.local_latencies_ms.push(local_ms);
+            f.completions += 1;
+        }
+        JournalEvent::Completed { wl, e2e_ms, .. } => {
+            let w = workload_mut(report, wl)?;
+            w.e2e_latencies_ms.push(e2e_ms);
+            w.completions += 1;
+        }
+        JournalEvent::Retry { wl, .. } => workload_mut(report, wl)?.retries += 1,
+        JournalEvent::Failed { wl, .. } => workload_mut(report, wl)?.failed += 1,
+        JournalEvent::MetricSample { wl, node, values } => {
+            let values: [f64; metricsd::NUM_METRICS] =
+                values.as_slice().try_into().map_err(|_| {
+                    format!(
+                        "metric sample has {} values, expected {}",
+                        values.len(),
+                        metricsd::NUM_METRICS
+                    )
+                })?;
+            function_mut(report, wl, node, "metric sample")?
+                .metric_samples
+                .push(MetricVector::from_array(values));
+        }
+        JournalEvent::Utilization {
+            cpu,
+            memory,
+            density,
+            instances,
+        } => report.utilization.push(UtilizationSample {
+            at: SimTime::from_micros(at_us),
+            cpu,
+            memory,
+            function_density: density,
+            instances: instances as usize,
+        }),
+        JournalEvent::Fault {
+            kind,
+            target,
+            value,
+        } => {
+            let kind = intern_kind(&kind).ok_or_else(|| format!("unknown fault kind {kind:?}"))?;
+            if let Some(log) = faults {
+                log.push(FaultRecord {
+                    at_ms: SimTime::from_micros(at_us).as_millis(),
+                    kind,
+                    target,
+                    value,
+                });
+            }
+        }
+        JournalEvent::RunEnd { horizon_us } => report.horizon = SimTime::from_micros(horizon_us),
+        JournalEvent::TelemetrySnapshot { .. } | JournalEvent::Checkpoint(_) => {}
+    }
+    Ok(())
+}
+
+/// Fold a parsed journal's records into run artifacts: [`apply`] once per
+/// record, plus the journal-only telemetry snapshot and checkpoints. Errors
+/// name the first record the fold rejects.
 pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {
     let mut report = RunReport::default();
     let mut faults = FaultLog::new();
     let mut telemetry_jsonl = None;
     let mut checkpoints = Vec::new();
     for rec in records {
-        let seq = rec.seq;
         match &rec.event {
-            JournalEvent::Deploy { wl, nodes, .. } => {
-                if *wl as usize != report.workloads.len() {
-                    return Err(format!(
-                        "record seq={seq}: deploy of workload {wl} out of order (have {})",
-                        report.workloads.len()
-                    ));
-                }
-                report.workloads.push(WorkloadSeries {
-                    functions: vec![FunctionSeries::default(); *nodes as usize],
-                    ..Default::default()
-                });
-            }
-            JournalEvent::Placement { kind, wl, node, .. } => {
-                let nodes = wl_mut(&mut report, *wl, seq)?.functions.len();
-                if *node as usize >= nodes {
-                    return Err(format!(
-                        "record seq={seq}: placement on node {node} of workload {wl} (has {nodes})"
-                    ));
-                }
-                if *kind == obs::journal::PlacementKind::ScaleOut {
-                    report.scale_outs.push((
-                        SimTime::from_micros(rec.at_us),
-                        *wl as usize,
-                        *node as usize,
-                    ));
-                }
-            }
-            JournalEvent::Arrival { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.arrivals += 1;
-            }
-            JournalEvent::Shed { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.shed += 1;
-            }
-            JournalEvent::GatewayForward { ms, .. } => {
-                report.gateway_forward_ms.push(*ms);
-            }
-            JournalEvent::ColdStart { wl, node, .. } => {
-                let w = wl_mut(&mut report, *wl, seq)?;
-                let f = w.functions.get_mut(*node as usize).ok_or_else(|| {
-                    format!("record seq={seq}: cold start on unknown node {node}")
-                })?;
-                f.cold_starts += 1;
-            }
-            JournalEvent::TaskDone {
-                wl, node, local_ms, ..
-            } => {
-                let w = wl_mut(&mut report, *wl, seq)?;
-                let f = w
-                    .functions
-                    .get_mut(*node as usize)
-                    .ok_or_else(|| format!("record seq={seq}: task done on unknown node {node}"))?;
-                f.local_latencies_ms.push(*local_ms);
-                f.completions += 1;
-            }
-            JournalEvent::Completed { wl, e2e_ms, .. } => {
-                let w = wl_mut(&mut report, *wl, seq)?;
-                w.e2e_latencies_ms.push(*e2e_ms);
-                w.completions += 1;
-            }
-            JournalEvent::Retry { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.retries += 1;
-            }
-            JournalEvent::Failed { wl, .. } => {
-                wl_mut(&mut report, *wl, seq)?.failed += 1;
-            }
-            JournalEvent::MetricSample { wl, node, values } => {
-                if values.len() != metricsd::NUM_METRICS {
-                    return Err(format!(
-                        "record seq={seq}: metric sample has {} values, expected {}",
-                        values.len(),
-                        metricsd::NUM_METRICS
-                    ));
-                }
-                let mut arr = [0.0; metricsd::NUM_METRICS];
-                arr.copy_from_slice(values);
-                let w = wl_mut(&mut report, *wl, seq)?;
-                let f = w.functions.get_mut(*node as usize).ok_or_else(|| {
-                    format!("record seq={seq}: metric sample on unknown node {node}")
-                })?;
-                f.metric_samples.push(MetricVector::from_array(arr));
-            }
-            JournalEvent::Utilization {
-                cpu,
-                memory,
-                density,
-                instances,
-            } => {
-                report.utilization.push(UtilizationSample {
-                    at: SimTime::from_micros(rec.at_us),
-                    cpu: cpu.clone(),
-                    memory: memory.clone(),
-                    function_density: *density,
-                    instances: *instances as usize,
-                });
-            }
-            JournalEvent::Fault {
-                kind,
-                target,
-                value,
-            } => {
-                let kind = intern_kind(kind)
-                    .ok_or_else(|| format!("record seq={seq}: unknown fault kind {kind:?}"))?;
-                faults.push(FaultRecord {
-                    at_ms: SimTime::from_micros(rec.at_us).as_millis(),
-                    kind,
-                    target: *target,
-                    value: *value,
-                });
-            }
-            JournalEvent::TelemetrySnapshot { jsonl } => {
-                // Last snapshot wins — the engine journals exactly one, at
-                // run end, but resumed runs may carry an earlier one too.
-                telemetry_jsonl = Some(jsonl.clone());
-            }
-            JournalEvent::Checkpoint(state) => {
-                checkpoints.push(state.clone());
-            }
-            JournalEvent::RunEnd { horizon_us } => {
-                report.horizon = SimTime::from_micros(*horizon_us);
-            }
+            // Last snapshot wins — the engine journals exactly one, at run
+            // end, but resumed runs may carry an earlier one too.
+            JournalEvent::TelemetrySnapshot { jsonl } => telemetry_jsonl = Some(jsonl.clone()),
+            JournalEvent::Checkpoint(state) => checkpoints.push(state.clone()),
+            _ => apply(&mut report, Some(&mut faults), rec.at_us, rec.event.clone())
+                .map_err(|e| format!("record seq={}: {e}", rec.seq))?,
         }
     }
     Ok(Replayed {
@@ -186,7 +182,6 @@ pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use obs::journal::PlacementKind;
 
     fn rec(seq: u64, at_us: u64, event: JournalEvent) -> JournalRecord {
         JournalRecord { seq, at_us, event }
