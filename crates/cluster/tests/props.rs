@@ -1,41 +1,43 @@
-// Property-based suites need the crates.io `proptest` crate, which this
-// offline workspace cannot fetch; the whole file is compiled only when the
-// crate's `proptest` feature is enabled (see Cargo.toml).
-#![cfg(feature = "proptest")]
-
 //! Property-based tests for the contention model's physical invariants.
+//! Each property runs on a fixed number of cases; case `c` draws its inputs
+//! from `SimRng::new(c)`, so a failure names the case that reproduces it.
 
 use cluster::{Boundedness, Demand, InstanceLoad, Sensitivity, ServerSpec, ServerState};
-use proptest::prelude::*;
+use simcore::SimRng;
 
-fn arb_load(sockets: usize) -> impl Strategy<Value = InstanceLoad> {
-    (
-        0.1f64..6.0,   // cpu
-        0.0f64..40.0,  // membw
-        0.0f64..15.0,  // llc
-        0.0f64..300.0, // disk
-        0.0f64..600.0, // net
-        0.1f64..4.0,   // memory
-        0.0f64..2.0,   // sens membw
-        0.0f64..2.0,   // sens llc
-        0.0f64..1.0,   // sens smt
-        0..sockets,
-    )
-        .prop_map(
-            |(cpu, membw, llc, disk, net, mem, sm, sl, ss, socket)| InstanceLoad {
-                demand: Demand::new(cpu, membw, llc, disk, net, mem),
-                bounded: Boundedness::new(0.6, 0.2, 0.2),
-                sens: Sensitivity::new(sm, sl, ss),
-                socket,
-            },
-        )
+/// Cases per property.
+const CASES: u64 = 128;
+
+/// A random instance load homed on a socket below `sockets`.
+fn load(rng: &mut SimRng, sockets: usize) -> InstanceLoad {
+    let cpu = rng.range_f64(0.1, 6.0);
+    let membw = rng.range_f64(0.0, 40.0);
+    let llc = rng.range_f64(0.0, 15.0);
+    let disk = rng.range_f64(0.0, 300.0);
+    let net = rng.range_f64(0.0, 600.0);
+    let mem = rng.range_f64(0.1, 4.0);
+    let sens_membw = rng.range_f64(0.0, 2.0);
+    let sens_llc = rng.range_f64(0.0, 2.0);
+    let sens_smt = rng.range_f64(0.0, 1.0);
+    InstanceLoad {
+        demand: Demand::new(cpu, membw, llc, disk, net, mem),
+        bounded: Boundedness::new(0.6, 0.2, 0.2),
+        sens: Sensitivity::new(sens_membw, sens_llc, sens_smt),
+        socket: rng.index(sockets),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
+/// Between `lo` and `hi - 1` random loads on a four-socket server.
+fn loads(rng: &mut SimRng, lo: usize, hi: usize) -> Vec<InstanceLoad> {
+    let n = lo + rng.index(hi - lo);
+    (0..n).map(|_| load(rng, 4)).collect()
+}
 
-    #[test]
-    fn slowdown_at_least_one(loads in prop::collection::vec(arb_load(4), 1..8)) {
+#[test]
+fn slowdown_at_least_one() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let loads = loads(&mut rng, 1, 8);
         let mut s = ServerState::new(ServerSpec::paper_node());
         for l in &loads {
             s.add(*l);
@@ -43,54 +45,65 @@ proptest! {
         let c = s.contention();
         for l in &loads {
             let ic = c.instance(l);
-            prop_assert!(ic.slowdown >= 1.0 - 1e-9, "slowdown {}", ic.slowdown);
-            prop_assert!(ic.mem_factor >= 1.0 - 1e-9);
-            prop_assert!(ic.cpu_stretch >= 1.0 - 1e-9);
+            assert!(
+                ic.slowdown >= 1.0 - 1e-9,
+                "case {case}: slowdown {}",
+                ic.slowdown
+            );
+            assert!(ic.mem_factor >= 1.0 - 1e-9, "case {case}");
+            assert!(ic.cpu_stretch >= 1.0 - 1e-9, "case {case}");
         }
     }
+}
 
-    #[test]
-    fn solo_instance_exactly_unaffected(load in arb_load(4)) {
+#[test]
+fn solo_instance_exactly_unaffected() {
+    for case in 0..CASES {
+        let load = load(&mut SimRng::new(case), 4);
         let mut s = ServerState::new(ServerSpec::paper_node());
         s.add(load);
         let ic = s.contention().instance(&load);
-        prop_assert!((ic.slowdown - 1.0).abs() < 1e-9, "solo slowdown {}", ic.slowdown);
+        assert!(
+            (ic.slowdown - 1.0).abs() < 1e-9,
+            "case {case}: solo slowdown {}",
+            ic.slowdown
+        );
     }
+}
 
-    #[test]
-    fn adding_corunner_never_speeds_up_victim(
-        victim in arb_load(1),
-        corunner in arb_load(1),
-        extra in arb_load(1),
-    ) {
+#[test]
+fn adding_corunner_never_speeds_up_victim() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
         // Single-socket server: all on socket 0 so everything interacts.
-        let spec = ServerSpec::small();
-        let mut v = victim;
-        v.socket = 0;
-        let mut c1 = corunner;
-        c1.socket = 0;
-        let mut c2 = extra;
-        c2.socket = 0;
+        let v = load(&mut rng, 1);
+        let c1 = load(&mut rng, 1);
+        let c2 = load(&mut rng, 1);
 
-        let mut s = ServerState::new(spec.clone());
+        let mut s = ServerState::new(ServerSpec::small());
         s.add(v);
         s.add(c1);
         let before = s.contention().instance(&v).slowdown;
         s.add(c2);
         let after = s.contention().instance(&v).slowdown;
-        prop_assert!(after >= before - 1e-9, "adding load sped victim up: {before} -> {after}");
+        assert!(
+            after >= before - 1e-9,
+            "case {case}: adding load sped victim up: {before} -> {after}"
+        );
     }
+}
 
-    #[test]
-    fn cross_socket_cpu_membw_isolated(victim in arb_load(1), aggressor in arb_load(1)) {
+#[test]
+fn cross_socket_cpu_membw_isolated() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
         // Disk/net/memory are server-wide, so zero them to test the
         // socket-local dimensions in isolation.
-        let mut v = victim;
-        v.socket = 0;
+        let mut v = load(&mut rng, 1);
         v.demand.set(cluster::Resource::Disk, 0.0);
         v.demand.set(cluster::Resource::Net, 0.0);
         v.demand.set(cluster::Resource::Memory, 0.1);
-        let mut a = aggressor;
+        let mut a = load(&mut rng, 1);
         a.socket = 1;
         a.demand.set(cluster::Resource::Disk, 0.0);
         a.demand.set(cluster::Resource::Net, 0.0);
@@ -100,18 +113,28 @@ proptest! {
         s.add(v);
         s.add(a);
         let ic = s.contention().instance(&v);
-        prop_assert!((ic.slowdown - 1.0).abs() < 1e-9, "cross-socket leak: {}", ic.slowdown);
+        assert!(
+            (ic.slowdown - 1.0).abs() < 1e-9,
+            "case {case}: cross-socket leak: {}",
+            ic.slowdown
+        );
     }
+}
 
-    #[test]
-    fn contention_deterministic(loads in prop::collection::vec(arb_load(4), 1..6)) {
+#[test]
+fn contention_deterministic() {
+    for case in 0..CASES {
+        let loads = loads(&mut SimRng::new(case), 1, 6);
         let build = || {
             let mut s = ServerState::new(ServerSpec::paper_node());
             for l in &loads {
                 s.add(*l);
             }
-            loads.iter().map(|l| s.contention().instance(l).slowdown).collect::<Vec<_>>()
+            loads
+                .iter()
+                .map(|l| s.contention().instance(l).slowdown)
+                .collect::<Vec<_>>()
         };
-        prop_assert_eq!(build(), build());
+        assert_eq!(build(), build(), "case {case}");
     }
 }

@@ -89,18 +89,6 @@ impl GsightPredictor {
         }
     }
 
-    /// New predictor with custom learner hyperparameters (the `dim` field of
-    /// `params` is overridden to match the coding).
-    pub fn with_params(config: GsightConfig, mut params: IncrementalParams) -> Self {
-        params.dim = feature_dim(&config.coding);
-        params.kind = config.kind;
-        Self {
-            model: IncrementalModel::new(params),
-            pending: Dataset::new(feature_dim(&config.coding)),
-            config,
-        }
-    }
-
     /// The configuration.
     pub fn config(&self) -> &GsightConfig {
         &self.config
@@ -237,17 +225,6 @@ impl GsightPredictor {
     /// cost).
     pub fn predict_profiled(&self, scenario: &Scenario, prof: &mut obs::WallProfiler) -> f64 {
         prof.time("predictor.predict", || self.predict(scenario))
-    }
-
-    /// [`predict_batch`](Self::predict_batch) with wall-clock profiling,
-    /// recorded under the `"predictor.predict_batch"` stage (one sample per
-    /// batch, whole-batch wall time).
-    pub fn predict_batch_profiled(
-        &self,
-        scenarios: &[Scenario],
-        prof: &mut obs::WallProfiler,
-    ) -> Vec<f64> {
-        prof.time("predictor.predict_batch", || self.predict_batch(scenarios))
     }
 
     /// Incremental update with wall-clock profiling, recorded under the

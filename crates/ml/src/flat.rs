@@ -103,11 +103,6 @@ impl FlatForest {
         flat
     }
 
-    /// Number of compiled trees.
-    pub fn num_trees(&self) -> usize {
-        self.roots.len()
-    }
-
     /// Total nodes across all trees.
     pub fn num_nodes(&self) -> usize {
         self.feature.len()

@@ -409,8 +409,8 @@ mod tests {
 
     #[test]
     fn deterministic_across_thread_counts() {
-        // rayon's global pool size may vary; determinism must hold because
-        // seeds are derived per tree, not per worker.
+        // The `simcore::par` worker count may vary; determinism must hold
+        // because seeds are derived per tree, not per worker.
         let train = make_data(200, 5);
         let a = RandomForest::fit(&train, ForestParams::default(), 11);
         let b = RandomForest::fit(&train, ForestParams::default(), 11);

@@ -181,7 +181,7 @@ pub(crate) fn write_finite_num(x: f64, out: &mut String) {
     }
 }
 
-/// [`write_finite_num`] into a fresh string (see there for the contract).
+/// `write_finite_num` into a fresh string (see there for the contract).
 pub fn fmt_num(x: f64) -> String {
     let mut out = String::new();
     write_finite_num(x, &mut out);

@@ -607,13 +607,6 @@ impl Simulation {
         &self.servers
     }
 
-    /// Owned snapshot of the server states — convenient when a placement
-    /// decision and a subsequent `deploy` would otherwise fight the borrow
-    /// checker.
-    pub fn cluster_view_snapshot(&self) -> Vec<ServerState> {
-        self.servers.clone()
-    }
-
     // ------------------------------------------------------------------
     // Event handlers
     // ------------------------------------------------------------------
@@ -729,25 +722,21 @@ impl Simulation {
 
     fn deliver(&mut self, now: SimTime, fwd: Forward) {
         let chosen = {
-            let faults_on = self.faults.is_some();
+            // Round-robin over the alive instances only: the k-th alive one.
             let d = &mut self.deployed[fwd.wl];
-            let n_inst = d.instances[fwd.node].len();
-            if !faults_on {
-                let i = d.rr[fwd.node] % n_inst;
-                d.rr[fwd.node] = (d.rr[fwd.node] + 1) % n_inst;
-                Some(i)
+            let insts = &d.instances[fwd.node];
+            let n_alive = insts.iter().filter(|i| i.alive).count();
+            if n_alive == 0 {
+                None
             } else {
-                // Round-robin over the *alive* instances only.
-                let alive_insts: Vec<usize> = (0..n_inst)
-                    .filter(|&i| d.instances[fwd.node][i].alive)
-                    .collect();
-                if alive_insts.is_empty() {
-                    None
-                } else {
-                    let k = d.rr[fwd.node] % alive_insts.len();
-                    d.rr[fwd.node] = (d.rr[fwd.node] + 1) % alive_insts.len();
-                    Some(alive_insts[k])
-                }
+                let k = d.rr[fwd.node] % n_alive;
+                d.rr[fwd.node] = (d.rr[fwd.node] + 1) % n_alive;
+                insts
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, i)| i.alive)
+                    .nth(k)
+                    .map(|(i, _)| i)
             }
         };
         let Some(inst_idx) = chosen else {
@@ -1329,28 +1318,19 @@ impl Simulation {
         if self.placer.is_none() {
             return;
         }
-        let faults_on = self.faults.is_some();
-        if faults_on {
-            // Refresh the placer's degraded-mode flag from the outage window.
-            let available = now >= self.predictor_down_until;
-            self.placer
-                .as_mut()
-                .expect("checked above")
-                .set_predictor_available(available);
-        }
+        // Refresh the placer's degraded-mode flag from the outage window.
+        let available = now >= self.predictor_down_until;
+        self.placer
+            .as_mut()
+            .expect("checked above")
+            .set_predictor_available(available);
         // Collect scale-out requests first to avoid borrowing conflicts.
         let mut wanted: Vec<(usize, usize)> = Vec::new();
         for (wl, d) in self.deployed.iter().enumerate() {
             for node in 0..d.workload.graph.len() {
                 let insts = &d.instances[node];
-                // Pressure arithmetic over the alive instances; on the
-                // fault-free path nothing is ever dead, so the original
-                // whole-list arithmetic is kept bit-for-bit.
-                let n_alive = if faults_on {
-                    insts.iter().filter(|i| i.alive).count()
-                } else {
-                    insts.len()
-                };
+                // Pressure arithmetic over the alive instances only.
+                let n_alive = insts.iter().filter(|i| i.alive).count();
                 if n_alive >= self.scale.max_instances_per_node {
                     continue;
                 }
@@ -1383,11 +1363,7 @@ impl Simulation {
         for (wl, node) in wanted {
             let decision = {
                 let placer = self.placer.as_mut().expect("checked above");
-                let view = if faults_on {
-                    ClusterView::with_liveness(&self.servers, &self.alive)
-                } else {
-                    ClusterView::new(&self.servers)
-                };
+                let view = ClusterView::with_liveness(&self.servers, &self.alive);
                 let d = &self.deployed[wl];
                 let spec = d.workload.graph.func(workloads::NodeId(node));
                 placer.note_time(now.as_millis());
@@ -2252,6 +2228,49 @@ mod tests {
         );
         assert_eq!(ws.retries, 1);
         assert_eq!(sim.request_outcome(0), Some(Outcome::Completed));
+    }
+
+    #[test]
+    fn crash_without_fault_injector_routes_around_the_dead_instance() {
+        // No `set_faults`: the crash comes only from the public hook, and the
+        // re-warmed replacement must take all later traffic.
+        let mut sim = Simulation::new(PlatformConfig::paper_testbed(7));
+        let w = functionbench::float_operation(); // 0.4 s CPU burst
+        let placement = place_all(&w, 0, 0);
+        let before: Vec<SimTime> = (0..6).map(|i| SimTime::from_secs(0.5 * i as f64)).collect();
+        let after: Vec<SimTime> = (0..10)
+            .map(|i| SimTime::from_secs(5.0 + 0.5 * i as f64))
+            .collect();
+        sim.deploy(Deployment {
+            workload: w,
+            placement,
+            arrivals: ArrivalSpec::OpenLoop(before.iter().chain(&after).copied().collect()),
+        });
+        sim.set_obs(obs::Obs::recording());
+        let crash_at = SimTime::from_secs(4.0);
+        sim.run_until(crash_at);
+        assert_eq!(sim.report().workloads[0].completions, before.len() as u64);
+        sim.inject_server_crash(0);
+        sim.run_until(SimTime::from_secs(30.0));
+        assert!(!sim.server_alive(0));
+        let ws = &sim.report().workloads[0];
+        assert_eq!(ws.arrivals, (before.len() + after.len()) as u64);
+        assert_eq!(ws.completions, ws.arrivals, "every request completes");
+        let o = sim.take_obs();
+        let sink = o.memory_sink().expect("recording obs has a memory sink");
+        let on_dead_server: Vec<_> = sink
+            .spans_in("phase")
+            .filter(|s| s.start >= crash_at)
+            .filter(|s| {
+                s.args
+                    .iter()
+                    .any(|(k, v)| *k == "server" && *v == Json::from(0usize))
+            })
+            .collect();
+        assert!(
+            on_dead_server.is_empty(),
+            "phases ran on the crashed server: {on_dead_server:?}"
+        );
     }
 
     #[test]

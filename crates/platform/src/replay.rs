@@ -1,6 +1,6 @@
 //! The run-artifact fold and journal replay.
 //!
-//! Every run fact the engine records is one [`JournalEvent`], and [`apply`]
+//! Every run fact the engine records is one [`JournalEvent`], and `apply`
 //! is the one place such an event writes the [`RunReport`] and the
 //! [`FaultLog`]. The engine applies each event as it emits it; [`replay`]
 //! applies each record of a journal in one linear pass — no event queue, no
@@ -152,7 +152,7 @@ pub(crate) fn apply(
     Ok(())
 }
 
-/// Fold a parsed journal's records into run artifacts: [`apply`] once per
+/// Fold a parsed journal's records into run artifacts: `apply` once per
 /// record, plus the journal-only telemetry snapshot and checkpoints. Errors
 /// name the first record the fold rejects.
 pub fn replay(records: &[JournalRecord]) -> Result<Replayed, String> {

@@ -104,7 +104,7 @@ impl GsightPlacer {
     pub const PROBE_STAGE: &'static str = "sched.probe";
 
     /// Start timing every candidate probe (one wall-clock sample per
-    /// [`Self::probe`] call) under the [`Self::PROBE_STAGE`] stage.
+    /// `probe` call) under the [`Self::PROBE_STAGE`] stage.
     pub fn enable_probe_profiling(&mut self) {
         self.probe_profiler.get_or_insert_with(WallProfiler::new);
     }

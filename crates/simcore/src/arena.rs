@@ -167,19 +167,6 @@ impl<E> EventHeap<E> {
         Some((at, seq, self.release(slot)))
     }
 
-    /// Move every event out in arbitrary order (used to hand a whole heap
-    /// to a worker mailbox, which re-keys on absorb). Every handle into the
-    /// heap goes stale; the allocations are kept for reuse.
-    pub fn drain_unordered(&mut self, out: &mut Vec<(SimTime, u64, E)>) {
-        out.reserve(self.keys.len());
-        let keys = std::mem::take(&mut self.keys);
-        for &(at, seq, slot) in &keys {
-            out.push((at, seq, self.release(slot)));
-        }
-        self.keys = keys;
-        self.keys.clear();
-    }
-
     /// Index of `h`'s entry in `keys`, asserting the handle is current.
     fn position(&self, h: EventHandle) -> usize {
         assert!(self.contains(h), "stale event handle {h:?}");
@@ -342,20 +329,5 @@ mod tests {
         h.pop();
         let _reused = h.push(SimTime(2), 1, 'y'); // same slot, new generation
         h.update(old, SimTime(3), 2);
-    }
-
-    #[test]
-    fn drain_unordered_moves_everything_out() {
-        let mut h = EventHeap::new();
-        for i in 0..50u64 {
-            h.push(SimTime(i * 17 % 13), i, i);
-        }
-        let mut out = Vec::new();
-        h.drain_unordered(&mut out);
-        assert!(h.is_empty());
-        assert_eq!(out.len(), 50);
-        let mut seqs: Vec<u64> = out.iter().map(|&(_, s, _)| s).collect();
-        seqs.sort_unstable();
-        assert_eq!(seqs, (0..50).collect::<Vec<_>>());
     }
 }

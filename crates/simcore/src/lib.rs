@@ -11,19 +11,14 @@
 //! * [`stats`] — summary statistics (Welford online moments, percentiles,
 //!   CDFs, coefficient of variation) used both by the metric collector and by
 //!   the experiment harness.
-//! * [`events`] — a discrete-event queue with stable FIFO tie-breaking and a
-//!   microsecond-resolution simulation clock; pending events can be
-//!   re-timed or cancelled in place through their handles; plus a sharded
-//!   queue set (conservative windows batched into drain epochs) that no
-//!   engine path uses.
+//! * [`events`] — the one discrete-event queue, with stable FIFO
+//!   tie-breaking and a microsecond-resolution simulation clock; pending
+//!   events can be re-timed or cancelled in place through their handles.
 //! * [`arena`] — the slab-backed, addressable 4-ary index heap the queue
 //!   stores events in: payloads never move after insertion, only 24-byte
 //!   keys sift, and a slot→position index finds any pending event in O(1).
 //! * [`par`] — order-preserving parallel maps on scoped threads for the
 //!   embarrassingly parallel experiment sweeps.
-//! * [`shard_pool`] — the persistent worker pool behind the threaded shard
-//!   backing of [`ShardedEventQueue`]: per-shard mailboxes, heap ownership,
-//!   and the absorb/drain barrier rendezvous.
 //! * [`table`] — plain-text table rendering for regenerated paper tables.
 //!
 //! # Examples
@@ -52,12 +47,10 @@ pub mod dist;
 pub mod events;
 pub mod par;
 pub mod rng;
-pub mod shard_pool;
 pub mod stats;
 pub mod table;
 
 pub use arena::{EventHandle, EventHeap};
-pub use events::{BarrierStats, EventQueue, ShardedEventQueue, SimTime, WIDTH_BUCKETS};
+pub use events::{EventQueue, SimTime};
 pub use rng::{seed_stream, SimRng};
-pub use shard_pool::SyncProfile;
 pub use stats::{percentile, percentile_sorted, Cdf, OnlineStats, Reservoir, Summary};

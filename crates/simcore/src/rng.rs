@@ -18,8 +18,8 @@ pub fn splitmix64(state: &mut u64) -> u64 {
 
 /// Derive the `index`-th independent child seed from a parent seed.
 ///
-/// Used to hand each parallel task (a rayon job, a forest tree, a simulated
-/// server) its own generator without any cross-task coupling.
+/// Used to hand each parallel task (a `par_map` job, a forest tree, a
+/// simulated server) its own generator without any cross-task coupling.
 #[inline]
 pub fn seed_stream(parent: u64, index: u64) -> u64 {
     // Mix the index in with a distinct odd constant before running SplitMix
@@ -126,12 +126,6 @@ impl SimRng {
         }
         idx.truncate(k);
         idx
-    }
-
-    /// Uniform `u32` (upper bits of the next raw output).
-    #[inline]
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64_raw() >> 32) as u32
     }
 
     /// Uniform `u64`.

@@ -1,14 +1,12 @@
-//! Property-based tests for the simulation substrate.
-//!
-//! The differential event-queue test drives its own seeded random
-//! interleavings and always runs. The `proptest!` suites need the crates.io
-//! `proptest` crate, which this offline workspace cannot fetch; they are
-//! compiled only when the crate's `proptest` feature is enabled (see
-//! Cargo.toml).
+//! Property-based tests for the simulation substrate. Each property runs on
+//! a fixed number of cases; case `c` draws its inputs from `SimRng::new(c)`,
+//! so a failure names the case that reproduces it.
 
+use simcore::stats::{percentile, Cdf, OnlineStats};
 use simcore::{EventHandle, EventHeap, EventQueue, SimRng, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
 
 /// The tombstone queue the keyed queue replaced: re-timing an event pushes a
 /// fresh `(at, seq)` entry and bumps the event's token, so the old entry
@@ -117,111 +115,149 @@ fn keyed_queue_pops_the_live_sequence_of_the_tombstone_queue() {
     }
 }
 
-#[cfg(feature = "proptest")]
-mod proptests {
-    use proptest::prelude::*;
-    use simcore::stats::{percentile, Cdf, OnlineStats};
-    use simcore::{EventQueue, SimRng, SimTime};
+/// Cases per property.
+const CASES: u64 = 256;
 
-    proptest! {
-        #[test]
-        fn percentile_bounded_by_extremes(
-            mut v in prop::collection::vec(-1e6f64..1e6, 1..200),
-            p in 0.0f64..100.0,
-        ) {
-            let q = percentile(&v, p);
-            v.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            prop_assert!(q >= v[0] - 1e-9);
-            prop_assert!(q <= v[v.len() - 1] + 1e-9);
-        }
+/// A length drawn uniformly from `len`.
+fn len_in(rng: &mut SimRng, len: Range<usize>) -> usize {
+    len.start + rng.index(len.end - len.start)
+}
 
-        #[test]
-        fn percentile_monotone_in_p(
-            v in prop::collection::vec(-1e6f64..1e6, 1..100),
-            p1 in 0.0f64..100.0,
-            p2 in 0.0f64..100.0,
-        ) {
-            let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
-            prop_assert!(percentile(&v, lo) <= percentile(&v, hi) + 1e-9);
-        }
+/// A vector of `len_in(len)` values drawn uniformly from `[lo, hi)`.
+fn vec_in(rng: &mut SimRng, len: Range<usize>, lo: f64, hi: f64) -> Vec<f64> {
+    let n = len_in(rng, len);
+    (0..n).map(|_| rng.range_f64(lo, hi)).collect()
+}
 
-        #[test]
-        fn online_stats_merge_equals_sequential(
-            a in prop::collection::vec(-1e3f64..1e3, 0..100),
-            b in prop::collection::vec(-1e3f64..1e3, 0..100),
-        ) {
-            let mut whole = OnlineStats::new();
-            for &x in a.iter().chain(&b) {
-                whole.push(x);
-            }
-            let mut left = OnlineStats::new();
-            for &x in &a {
-                left.push(x);
-            }
-            let mut right = OnlineStats::new();
-            for &x in &b {
-                right.push(x);
-            }
-            left.merge(&right);
-            prop_assert_eq!(left.count(), whole.count());
-            prop_assert!((left.mean() - whole.mean()).abs() < 1e-6);
-            prop_assert!((left.variance() - whole.variance()).abs() < 1e-4);
-        }
+#[test]
+fn percentile_bounded_by_extremes() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let mut v = vec_in(&mut rng, 1..200, -1e6, 1e6);
+        let p = rng.range_f64(0.0, 100.0);
+        let q = percentile(&v, p);
+        v.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        assert!(q >= v[0] - 1e-9, "case {case}");
+        assert!(q <= v[v.len() - 1] + 1e-9, "case {case}");
+    }
+}
 
-        #[test]
-        fn cdf_is_monotone_and_normalised(
-            v in prop::collection::vec(-1e6f64..1e6, 1..200),
-            probes in prop::collection::vec(-1e6f64..1e6, 2..20),
-        ) {
-            let cdf = Cdf::new(v);
-            let mut sorted = probes.clone();
-            sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let mut prev = 0.0;
-            for &x in &sorted {
-                let f = cdf.at(x);
-                prop_assert!((0.0..=1.0).contains(&f));
-                prop_assert!(f >= prev - 1e-12);
-                prev = f;
-            }
-        }
+#[test]
+fn percentile_monotone_in_p() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let v = vec_in(&mut rng, 1..100, -1e6, 1e6);
+        let p1 = rng.range_f64(0.0, 100.0);
+        let p2 = rng.range_f64(0.0, 100.0);
+        let (lo, hi) = if p1 <= p2 { (p1, p2) } else { (p2, p1) };
+        assert!(
+            percentile(&v, lo) <= percentile(&v, hi) + 1e-9,
+            "case {case}"
+        );
+    }
+}
 
-        #[test]
-        fn rng_index_always_in_range(seed in any::<u64>(), n in 1usize..10_000) {
-            let mut rng = SimRng::new(seed);
-            for _ in 0..100 {
-                prop_assert!(rng.index(n) < n);
-            }
+#[test]
+fn online_stats_merge_equals_sequential() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let a = vec_in(&mut rng, 0..100, -1e3, 1e3);
+        let b = vec_in(&mut rng, 0..100, -1e3, 1e3);
+        let mut whole = OnlineStats::new();
+        for &x in a.iter().chain(&b) {
+            whole.push(x);
         }
+        let mut left = OnlineStats::new();
+        for &x in &a {
+            left.push(x);
+        }
+        let mut right = OnlineStats::new();
+        for &x in &b {
+            right.push(x);
+        }
+        left.merge(&right);
+        assert_eq!(left.count(), whole.count(), "case {case}");
+        assert!((left.mean() - whole.mean()).abs() < 1e-6, "case {case}");
+        assert!(
+            (left.variance() - whole.variance()).abs() < 1e-4,
+            "case {case}"
+        );
+    }
+}
 
-        #[test]
-        fn rng_sample_indices_distinct(seed in any::<u64>(), n in 1usize..500, k in 0usize..500) {
-            let mut rng = SimRng::new(seed);
-            let s = rng.sample_indices(n, k);
-            prop_assert_eq!(s.len(), k.min(n));
-            let mut d = s.clone();
-            d.sort_unstable();
-            d.dedup();
-            prop_assert_eq!(d.len(), s.len());
+#[test]
+fn cdf_is_monotone_and_normalised() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let v = vec_in(&mut rng, 1..200, -1e6, 1e6);
+        let mut probes = vec_in(&mut rng, 2..20, -1e6, 1e6);
+        let cdf = Cdf::new(v);
+        probes.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let mut prev = 0.0;
+        for &x in &probes {
+            let f = cdf.at(x);
+            assert!((0.0..=1.0).contains(&f), "case {case}: F({x}) = {f}");
+            assert!(f >= prev - 1e-12, "case {case}: F not monotone at {x}");
+            prev = f;
         }
+    }
+}
 
-        #[test]
-        fn event_queue_pops_sorted(times in prop::collection::vec(0u64..1_000_000, 1..200)) {
-            let mut q = EventQueue::new();
-            for (i, &t) in times.iter().enumerate() {
-                q.schedule(SimTime(t), i);
-            }
-            let mut prev = SimTime::ZERO;
-            while let Some((at, _)) = q.pop() {
-                prop_assert!(at >= prev);
-                prev = at;
-            }
+#[test]
+fn rng_index_always_in_range() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let seed = rng.next_u64();
+        let n = len_in(&mut rng, 1..10_000);
+        let mut under_test = SimRng::new(seed);
+        for _ in 0..100 {
+            assert!(under_test.index(n) < n, "case {case}");
         }
+    }
+}
 
-        #[test]
-        fn simtime_roundtrip(us in 0u64..u64::MAX / 2) {
-            let t = SimTime::from_micros(us);
-            prop_assert_eq!(t.as_micros(), us);
-            prop_assert!((t.as_secs() - us as f64 / 1e6).abs() < 1e-9 * (1.0 + us as f64 / 1e6));
+#[test]
+fn rng_sample_indices_distinct() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let seed = rng.next_u64();
+        let n = len_in(&mut rng, 1..500);
+        let k = len_in(&mut rng, 0..500);
+        let s = SimRng::new(seed).sample_indices(n, k);
+        assert_eq!(s.len(), k.min(n), "case {case}");
+        let mut d = s.clone();
+        d.sort_unstable();
+        d.dedup();
+        assert_eq!(d.len(), s.len(), "case {case}");
+    }
+}
+
+#[test]
+fn event_queue_pops_sorted() {
+    for case in 0..CASES {
+        let mut rng = SimRng::new(case);
+        let n = len_in(&mut rng, 1..200);
+        let mut q = EventQueue::new();
+        for i in 0..n {
+            q.schedule(SimTime(rng.next_u64() % 1_000_000), i);
         }
+        let mut prev = SimTime::ZERO;
+        while let Some((at, _)) = q.pop() {
+            assert!(at >= prev, "case {case}");
+            prev = at;
+        }
+    }
+}
+
+#[test]
+fn simtime_roundtrip() {
+    for case in 0..CASES {
+        let us = SimRng::new(case).next_u64() % (u64::MAX / 2);
+        let t = SimTime::from_micros(us);
+        assert_eq!(t.as_micros(), us, "case {case}");
+        assert!(
+            (t.as_secs() - us as f64 / 1e6).abs() < 1e-9 * (1.0 + us as f64 / 1e6),
+            "case {case}"
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! A web-search LS workload — the third latency-sensitive application class
-//! of paper Table 1 ("Websearch [9]": serverless information retrieval à la
+//! of paper Table 1 ("Websearch \[9\]": serverless information retrieval à la
 //! Crane & Lin, ICTIR '17).
 //!
 //! Four functions: a query frontend that fans out to two index-shard

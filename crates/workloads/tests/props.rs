@@ -1,14 +1,13 @@
-// Property-based suites need the crates.io `proptest` crate, which this
-// offline workspace cannot fetch; the whole file is compiled only when the
-// crate's `proptest` feature is enabled (see Cargo.toml).
-#![cfg(feature = "proptest")]
+//! Property-based tests for call-graph analysis invariants. Each property
+//! runs on a fixed number of cases; case `c` draws its inputs from
+//! `SimRng::new(c)`, so a failure names the case that reproduces it.
 
-//! Property-based tests for call-graph analysis invariants.
-
-use proptest::prelude::*;
-use simcore::SimTime;
+use simcore::{SimRng, SimTime};
 use workloads::dag::{CallGraph, CallKind};
 use workloads::function::{FunctionSpec, PhaseSpec};
+
+/// Cases per property.
+const CASES: u64 = 128;
 
 fn func(name: String, ms: u64) -> FunctionSpec {
     FunctionSpec::single_phase(
@@ -23,96 +22,105 @@ fn func(name: String, ms: u64) -> FunctionSpec {
     )
 }
 
-/// Build a random DAG: node i may link to node j > i (keeps it acyclic).
-fn arb_dag() -> impl Strategy<Value = (CallGraph, Vec<u64>)> {
-    (2usize..10)
-        .prop_flat_map(|n| {
-            (
-                prop::collection::vec(1u64..500, n..=n),
-                prop::collection::vec(any::<bool>(), n * (n - 1) / 2..=n * (n - 1) / 2),
-                prop::collection::vec(any::<bool>(), n * (n - 1) / 2..=n * (n - 1) / 2),
-            )
-        })
-        .prop_map(|(durations, edges, kinds)| {
-            let n = durations.len();
-            let mut g = CallGraph::new();
-            let ids: Vec<_> = durations
-                .iter()
-                .enumerate()
-                .map(|(i, &ms)| g.add(func(format!("f{i}"), ms)))
-                .collect();
-            let mut e = 0;
-            let mut has_nested_parent = vec![false; n];
-            let mut has_async_parent = vec![false; n];
-            for i in 0..n {
-                for j in (i + 1)..n {
-                    if edges[e] {
-                        // Respect the platform's constraint: a node has
-                        // either async parents or one nested parent.
-                        let nested = kinds[e] && !has_async_parent[j] && !has_nested_parent[j];
-                        if nested {
-                            g.link(ids[i], ids[j], CallKind::Nested);
-                            has_nested_parent[j] = true;
-                        } else if !has_nested_parent[j] {
-                            g.link(ids[i], ids[j], CallKind::Async);
-                            has_async_parent[j] = true;
-                        }
-                    }
-                    e += 1;
+/// Build a random DAG of 2 to 9 nodes with durations in `[1, 500)` ms:
+/// node i may link to node j > i (keeps it acyclic).
+fn arb_dag(rng: &mut SimRng) -> (CallGraph, Vec<u64>) {
+    let n = 2 + rng.index(8);
+    let durations: Vec<u64> = (0..n).map(|_| 1 + rng.next_u64() % 499).collect();
+    let pairs = n * (n - 1) / 2;
+    let edges: Vec<bool> = (0..pairs).map(|_| rng.chance(0.5)).collect();
+    let kinds: Vec<bool> = (0..pairs).map(|_| rng.chance(0.5)).collect();
+    let mut g = CallGraph::new();
+    let ids: Vec<_> = durations
+        .iter()
+        .enumerate()
+        .map(|(i, &ms)| g.add(func(format!("f{i}"), ms)))
+        .collect();
+    let mut e = 0;
+    let mut has_nested_parent = vec![false; n];
+    let mut has_async_parent = vec![false; n];
+    for i in 0..n {
+        for j in (i + 1)..n {
+            if edges[e] {
+                // Respect the platform's constraint: a node has
+                // either async parents or one nested parent.
+                let nested = kinds[e] && !has_async_parent[j] && !has_nested_parent[j];
+                if nested {
+                    g.link(ids[i], ids[j], CallKind::Nested);
+                    has_nested_parent[j] = true;
+                } else if !has_nested_parent[j] {
+                    g.link(ids[i], ids[j], CallKind::Async);
+                    has_async_parent[j] = true;
                 }
             }
-            (g, durations)
-        })
+            e += 1;
+        }
+    }
+    (g, durations)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    #[test]
-    fn critical_path_bounded((g, durations) in arb_dag()) {
+#[test]
+fn critical_path_bounded() {
+    for case in 0..CASES {
+        let (g, durations) = arb_dag(&mut SimRng::new(case));
         let total: u64 = durations.iter().sum();
         let longest = *durations.iter().max().unwrap();
         let cp = g.critical_path_duration().as_millis();
-        prop_assert!(cp >= longest as f64 - 1e-9, "cp {cp} < longest node {longest}");
-        prop_assert!(cp <= total as f64 + 1e-9, "cp {cp} > serial total {total}");
+        assert!(
+            cp >= longest as f64 - 1e-9,
+            "case {case}: cp {cp} < longest node {longest}"
+        );
+        assert!(
+            cp <= total as f64 + 1e-9,
+            "case {case}: cp {cp} > serial total {total}"
+        );
     }
+}
 
-    #[test]
-    fn topo_order_is_valid((g, _) in arb_dag()) {
+#[test]
+fn topo_order_is_valid() {
+    for case in 0..CASES {
+        let (g, _) = arb_dag(&mut SimRng::new(case));
         let order = g.topo_order().expect("acyclic by construction");
-        prop_assert_eq!(order.len(), g.len());
+        assert_eq!(order.len(), g.len(), "case {case}");
         let pos: std::collections::HashMap<_, _> =
             order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         for id in g.ids() {
             for &(child, _) in g.children(id) {
-                prop_assert!(pos[&id] < pos[&child]);
+                assert!(pos[&id] < pos[&child], "case {case}");
             }
         }
     }
+}
 
-    #[test]
-    fn solo_schedule_consistent((g, _) in arb_dag()) {
+#[test]
+fn solo_schedule_consistent() {
+    for case in 0..CASES {
+        let (g, _) = arb_dag(&mut SimRng::new(case));
         let t = g.solo_schedule();
         for (i, timing) in t.iter().enumerate() {
-            prop_assert!(timing.service_end >= timing.start);
-            prop_assert!(timing.completion >= timing.service_end);
+            assert!(timing.service_end >= timing.start, "case {case}");
+            assert!(timing.completion >= timing.service_end, "case {case}");
             // A child never starts before its gate.
             for &(p, kind) in g.parents(workloads::NodeId(i)) {
                 let gate = match kind {
                     CallKind::Async => t[p.0].completion,
                     CallKind::Nested => t[p.0].service_end,
                 };
-                prop_assert!(timing.start >= gate);
+                assert!(timing.start >= gate, "case {case}: node {i}");
             }
         }
     }
+}
 
-    #[test]
-    fn critical_path_nodes_exist((g, _) in arb_dag()) {
+#[test]
+fn critical_path_nodes_exist() {
+    for case in 0..CASES {
+        let (g, _) = arb_dag(&mut SimRng::new(case));
         let cp = g.critical_path();
-        prop_assert!(!cp.is_empty());
+        assert!(!cp.is_empty(), "case {case}");
         for id in cp {
-            prop_assert!(id.0 < g.len());
+            assert!(id.0 < g.len(), "case {case}");
         }
     }
 }
