@@ -17,21 +17,22 @@ use mlcore::{Dataset, IncrementalModel, IncrementalParams, Pca};
 pub struct CompressedPredictor {
     config: GsightConfig,
     k: usize,
-    pca: Option<Pca>,
-    model: IncrementalModel,
+    /// The frozen basis and the learner over its projection, both built at
+    /// bootstrap: PCA may fit fewer than `k` components, and the learner's
+    /// input dimension is whatever it fitted.
+    fitted: Option<(Pca, IncrementalModel)>,
 }
 
 impl CompressedPredictor {
-    /// New predictor projecting to `k` components. The basis is fitted at
-    /// [`CompressedPredictor::bootstrap`] time and frozen thereafter.
+    /// New predictor projecting to at most `k` components. The basis is
+    /// fitted at [`CompressedPredictor::bootstrap`] time and frozen
+    /// thereafter.
     pub fn new(config: GsightConfig, k: usize) -> Self {
         assert!(k > 0, "need at least one component");
-        let params = IncrementalParams::new(config.kind, k, config.seed);
         Self {
-            model: IncrementalModel::new(params),
-            pca: None,
-            k,
             config,
+            k,
+            fitted: None,
         }
     }
 
@@ -45,14 +46,18 @@ impl CompressedPredictor {
         feature_dim(&self.config.coding)
     }
 
-    /// Compressed dimension.
+    /// Compressed dimension: the number of components the basis fitted
+    /// (PCA clamps the requested `k` to `min(samples, raw_dim)`), or the
+    /// requested `k` before bootstrap.
     pub fn compressed_dim(&self) -> usize {
-        self.k
+        self.fitted.as_ref().map_or(self.k, |(pca, _)| pca.k())
     }
 
     /// Variance captured per retained component (`None` before bootstrap).
     pub fn explained_variance(&self) -> Option<&[f64]> {
-        self.pca.as_ref().map(|p| p.explained_variance())
+        self.fitted
+            .as_ref()
+            .map(|(pca, _)| pca.explained_variance())
     }
 
     fn raw_features(&self, samples: &[(Scenario, f64)]) -> Dataset {
@@ -63,30 +68,31 @@ impl CompressedPredictor {
         d
     }
 
-    /// Fit the PCA basis on the bootstrap corpus, then the learner on the
-    /// projected features.
+    /// Fit the PCA basis on the bootstrap corpus, then a fresh learner on
+    /// the projected features.
     pub fn bootstrap(&mut self, samples: &[(Scenario, f64)]) {
         let raw = self.raw_features(samples);
         let pca = Pca::fit(&raw, self.k, self.config.seed ^ 0x9CA);
-        let projected = pca.transform_dataset(&raw);
-        self.pca = Some(pca);
-        self.model.bootstrap(&projected);
+        let params = IncrementalParams::new(self.config.kind, pca.k(), self.config.seed);
+        let mut model = IncrementalModel::new(params);
+        model.bootstrap(&pca.transform_dataset(&raw));
+        self.fitted = Some((pca, model));
     }
 
     /// Incrementally absorb new observations (requires a prior bootstrap —
     /// the frozen basis must exist).
     pub fn update(&mut self, samples: &[(Scenario, f64)]) {
-        let pca = self.pca.as_ref().expect("bootstrap before update");
-        let projected = pca.transform_dataset(&self.raw_features(samples));
-        self.model.update(&projected);
+        let raw = self.raw_features(samples);
+        let (pca, model) = self.fitted.as_mut().expect("bootstrap before update");
+        model.update(&pca.transform_dataset(&raw));
     }
 
     /// Predict the target QoS (NaN before bootstrap).
     pub fn predict(&self, scenario: &Scenario) -> f64 {
-        match &self.pca {
-            Some(pca) => {
+        match &self.fitted {
+            Some((pca, model)) => {
                 let raw = featurize(scenario, &self.config.coding);
-                self.model.predict(&pca.transform(&raw))
+                model.predict(&pca.transform(&raw))
             }
             None => f64::NAN,
         }
@@ -94,7 +100,9 @@ impl CompressedPredictor {
 
     /// Samples absorbed so far.
     pub fn samples_seen(&self) -> usize {
-        self.model.samples_seen()
+        self.fitted
+            .as_ref()
+            .map_or(0, |(_, model)| model.samples_seen())
     }
 }
 
@@ -204,6 +212,23 @@ mod tests {
         p.bootstrap(&train);
         p.update(&more);
         assert_eq!(p.samples_seen(), 500);
+    }
+
+    #[test]
+    fn fewer_samples_than_components_fits_what_pca_keeps() {
+        // PCA keeps at most one component per sample: 10 samples with
+        // k = 16 fit 10 components, and the learner must be sized to them.
+        let mut rng = SimRng::new(5);
+        let train: Vec<_> = (0..10).map(|_| sample(&mut rng)).collect();
+        let more: Vec<_> = (0..5).map(|_| sample(&mut rng)).collect();
+        let mut p = CompressedPredictor::new(config(), 16);
+        assert_eq!(p.compressed_dim(), 16, "requested k before bootstrap");
+        p.bootstrap(&train);
+        assert_eq!(p.compressed_dim(), 10);
+        assert_eq!(p.explained_variance().unwrap().len(), 10);
+        assert!(p.predict(&more[0].0).is_finite());
+        p.update(&more);
+        assert_eq!(p.samples_seen(), 15);
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //!    [`GsightPredictor::observe`], incrementally refining the model.
 
 use crate::coding::CodingConfig;
-use crate::features::{
-    feature_dim, featurize, featurize_append, featurize_into, metric_of_feature,
-};
+use crate::features::{feature_dim, featurize, featurize_into, metric_of_feature};
 use crate::scenario::Scenario;
 use metricsd::{Metric, NUM_SELECTED};
 use mlcore::{Dataset, IncrementalModel, IncrementalParams, ModelKind};
@@ -70,6 +68,14 @@ impl GsightConfig {
     }
 }
 
+/// Smallest batch [`GsightPredictor::predict_batch_with_scratch`] fans out
+/// row-parallel. Below it, waking worker threads costs more than the rows
+/// save: on a 2-core host with 2 workers, interleaved medians put the
+/// row-parallel path at 0.2–0.3× the sequential loop's speed at 12 rows,
+/// 0.5–0.7× at 64 and 0.6–1.15× at 256; it first wins some runs at 512
+/// and wins them all at 2048 (DESIGN.md §15).
+const PAR_BATCH_ROWS: usize = 512;
+
 /// The predictor.
 pub struct GsightPredictor {
     config: GsightConfig,
@@ -123,71 +129,52 @@ impl GsightPredictor {
         self.model.predict(scratch)
     }
 
-    /// Predict many scenarios in one call.
+    /// Predict many scenarios in one call, reusing a caller-owned
+    /// featurization buffer — the allocation-free path for schedulers that
+    /// batch-probe repeatedly (e.g. consolidation's per-move SLA holds).
     ///
-    /// Scenarios featurize into a contiguous row-major buffer (no per-row
-    /// `Vec` allocation) in cache-resident chunks, each chunk walked by the
-    /// forest's flat batch kernel
-    /// ([`mlcore::RandomForest::predict_batch_rows`]) while its rows are
-    /// still hot — the same featurize→walk locality the sequential loop
-    /// gets for free, without its per-probe allocation. On multi-core
-    /// hosts, large batches fan the chunks out row-parallel (each worker
-    /// fuses featurize + walk for its chunk; chunk order is preserved).
-    /// Results are bit-identical to calling [`predict`](Self::predict) on
-    /// each scenario in order, at any thread count: rows are independent
-    /// and each row's tree-order reduction is unchanged.
-    pub fn predict_batch(&self, scenarios: &[Scenario]) -> Vec<f64> {
-        let mut rows = Vec::new();
-        self.predict_batch_with_scratch(scenarios, &mut rows)
-    }
-
-    /// [`predict_batch`](Self::predict_batch) reusing a caller-owned
-    /// row-major featurization buffer — the allocation-free path for
-    /// schedulers that batch-probe repeatedly (e.g. consolidation's
-    /// per-move SLA holds). Returns exactly the same values as
-    /// `predict_batch`.
+    /// Every row fuses featurize → [`IncrementalModel::predict`], so the
+    /// row is cache-hot when the forest reads it and no per-row feature
+    /// vector is allocated. Batches of at least 512 rows on multi-core
+    /// hosts split into contiguous runs predicted row-parallel, each worker
+    /// with a private scratch (the caller's buffer is untouched on that
+    /// path). Results are bit-identical to calling
+    /// [`predict`](Self::predict) on each scenario in order, at any thread
+    /// count: rows are independent and each row's tree-order reduction is
+    /// unchanged.
     pub fn predict_batch_with_scratch(
         &self,
         scenarios: &[Scenario],
         rows: &mut Vec<f64>,
     ) -> Vec<f64> {
-        if scenarios.is_empty() {
-            return Vec::new();
-        }
-        // Chunk so a chunk's rows still sit in cache when the tree walk
-        // reads them back: featurizing the whole batch first and walking it
-        // afterwards re-reads every row cold, which measures *slower* than
-        // the fused sequential loop at one thread.
-        const CHUNK_BYTES: usize = 1 << 17; // 128 KiB of row data
-        let dim = self.feature_dim();
-        let chunk_rows = (CHUNK_BYTES / (dim.max(1) * std::mem::size_of::<f64>())).max(1);
-        let workers = par::available_workers();
-        if workers > 1 && scenarios.len() >= 2 * chunk_rows {
-            // Row-parallel: whole chunks per worker, results re-joined in
-            // chunk order. Each worker owns a private scratch; the caller's
-            // buffer is untouched on this path.
-            let chunks: Vec<&[Scenario]> = scenarios.chunks(chunk_rows).collect();
-            let per_chunk: Vec<Vec<f64>> = par::par_map_workers(chunks, workers, |chunk| {
-                let mut local = Vec::with_capacity(chunk.len() * dim);
-                for s in chunk {
-                    featurize_append(s, &self.config.coding, &mut local);
-                }
-                self.model.predict_batch_rows(&local, chunk.len())
-            });
-            per_chunk.concat()
+        self.predict_rows(scenarios, rows, par::available_workers())
+    }
+
+    /// [`predict_batch_with_scratch`](Self::predict_batch_with_scratch)
+    /// with an explicit worker count, so tests can pin the row-parallel
+    /// branch on any host.
+    fn predict_rows(
+        &self,
+        scenarios: &[Scenario],
+        rows: &mut Vec<f64>,
+        workers: usize,
+    ) -> Vec<f64> {
+        if workers > 1 && scenarios.len() >= PAR_BATCH_ROWS {
+            // A few runs per worker so the self-scheduling map can even out
+            // scenarios of different size; outputs rejoin in input order.
+            let run = scenarios.len().div_ceil(4 * workers);
+            let runs: Vec<&[Scenario]> = scenarios.chunks(run).collect();
+            par::par_map_workers(runs, workers, |run| {
+                let mut scratch = Vec::new();
+                run.iter()
+                    .map(|s| self.predict_with_scratch(s, &mut scratch))
+                    .collect::<Vec<f64>>()
+            })
+            .concat()
         } else {
-            // Single-thread: fuse featurize → walk per row through one
-            // reused scratch buffer. The row is L1-hot when the forest
-            // reads it — the same locality the sequential loop gets — and
-            // the only cost dropped is `predict`'s per-row feature-vector
-            // allocation, which is why batch beats sequential here instead
-            // of merely matching it.
             scenarios
                 .iter()
-                .map(|s| {
-                    featurize_into(s, &self.config.coding, rows);
-                    self.model.predict(rows)
-                })
+                .map(|s| self.predict_with_scratch(s, rows))
                 .collect()
         }
     }
@@ -421,14 +408,36 @@ mod tests {
         p.update_batch(&(0..60).map(|_| sample(&mut rng)).collect::<Vec<_>>());
         let probes: Vec<Scenario> = (0..25).map(|_| sample(&mut rng).0).collect();
         let seq: Vec<f64> = probes.iter().map(|s| p.predict(s)).collect();
-        assert_eq!(p.predict_batch(&probes), seq);
         let mut scratch = Vec::new();
+        assert_eq!(p.predict_batch_with_scratch(&probes, &mut scratch), seq);
         let scratched: Vec<f64> = probes
             .iter()
             .map(|s| p.predict_with_scratch(s, &mut scratch))
             .collect();
         assert_eq!(scratched, seq);
-        assert!(p.predict_batch(&[]).is_empty());
+        assert!(p.predict_batch_with_scratch(&[], &mut scratch).is_empty());
+    }
+
+    #[test]
+    fn row_parallel_batch_bitwise_equals_predict() {
+        let mut rng = SimRng::new(8);
+        let train: Vec<_> = (0..400).map(|_| sample(&mut rng)).collect();
+        let mut p = GsightPredictor::new(small_config(QosTarget::Ipc));
+        p.bootstrap(&train);
+        p.update_batch(&(0..60).map(|_| sample(&mut rng)).collect::<Vec<_>>());
+        // Above the fan-out cutoff, with a ragged last run.
+        let probes: Vec<Scenario> = (0..PAR_BATCH_ROWS + 37)
+            .map(|_| sample(&mut rng).0)
+            .collect();
+        let seq: Vec<f64> = probes.iter().map(|s| p.predict(s)).collect();
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut scratch = Vec::new();
+        for workers in [1, 2, 3, 8] {
+            let batch = p.predict_rows(&probes, &mut scratch, workers);
+            assert_eq!(bits(&batch), bits(&seq), "workers = {workers}");
+        }
+        let batch = p.predict_batch_with_scratch(&probes, &mut scratch);
+        assert_eq!(bits(&batch), bits(&seq));
     }
 
     #[test]

@@ -238,8 +238,14 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         let preds: Vec<f64> = test.iter().map(|(s, _)| p.predict(s)).collect();
         let us = start.elapsed().as_micros() as f64 / test.len().max(1) as f64;
         let actuals: Vec<f64> = test.iter().map(|(_, y)| *y).collect();
+        // PCA fits at most one component per training row.
+        let fitted = p.compressed_dim();
         t.row(vec![
-            format!("{k}"),
+            if fitted == k {
+                format!("{k}")
+            } else {
+                format!("{fitted} (of {k})")
+            },
             fnum(mape(&preds, &actuals) * 100.0, 2) + "%",
             fnum(us, 1),
         ]);

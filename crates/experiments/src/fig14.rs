@@ -176,7 +176,7 @@ pub struct PredictThroughput {
     pub rows: usize,
     /// Row-at-a-time `predict` throughput, rows/s.
     pub seq_rows_per_s: f64,
-    /// `predict_batch` throughput, rows/s.
+    /// `predict_batch_with_scratch` throughput, rows/s.
     pub batch_rows_per_s: f64,
     /// `batch_rows_per_s / seq_rows_per_s`.
     pub speedup: f64,
@@ -187,15 +187,16 @@ pub struct PredictThroughput {
 }
 
 /// Measure [`PredictThroughput`]: one warm-up pass, then the same scenario
-/// batch through `predict` row-by-row and through `predict_batch`,
-/// interleaved best-of-5 (both paths are deterministic, so the minimum
-/// wall time per path is the least-noisy cost estimate on a shared
-/// machine — the same protocol as [`train_throughput_sized`]).
+/// batch through `predict` row-by-row and through
+/// `predict_batch_with_scratch`, interleaved best-of-N (both paths are
+/// deterministic, so the minimum wall time per path is the least-noisy
+/// cost estimate on a shared machine — the same protocol as
+/// [`train_throughput_sized`]).
 ///
-/// The batch path featurizes every scenario into one contiguous row-major
-/// buffer and walks the forest's flat inference kernel, so it wins even at
-/// one thread (no per-row allocation); the adaptive dispatcher adds
-/// tree-parallel evaluation on multi-core hosts.
+/// The batch path fuses featurize → forest walk per row through one reused
+/// scratch buffer, so it wins even at one thread (no per-row allocation);
+/// at 512 rows on a multi-core host it predicts contiguous runs of rows in
+/// parallel.
 pub fn predict_throughput(quick: bool) -> PredictThroughput {
     let book = standard_profile_book(SEED, true);
     let cluster = ClusterConfig::paper_testbed();
@@ -219,10 +220,8 @@ pub fn predict_throughput(quick: bool) -> PredictThroughput {
         .collect();
 
     // The batch path is measured as the schedulers drive it: a caller-owned
-    // row-major featurization buffer reused across calls
-    // (`predict_batch_with_scratch`, cf. consolidation's per-move SLA
-    // holds). A fresh `predict_batch` call must allocate the multi-MB
-    // buffer each time, which is pure setup cost the probe loops never pay.
+    // featurization buffer reused across calls (`predict_batch_with_scratch`,
+    // cf. consolidation's per-move SLA holds).
     let mut row_scratch: Vec<f64> = Vec::new();
 
     // Warm up both paths (scratch growth, branch predictors, and on
@@ -307,7 +306,7 @@ pub struct TrainThroughput {
     /// `kernel_rows_per_s / reference_rows_per_s`.
     pub kernel_speedup: f64,
     /// Whether kernel and reference forests matched bit-for-bit — trees,
-    /// batch predictions, and post-`refresh_stalest` trees.
+    /// per-row predictions, and post-`refresh_stalest` trees.
     pub bit_identical: bool,
     /// Worker threads available to both backends.
     pub threads: usize,
@@ -367,7 +366,9 @@ pub fn train_throughput_sized(rows: usize, dim: usize, trees: usize) -> TrainThr
         .map(|i| data.row(i * (rows / 64.min(rows))).to_vec())
         .collect();
     let mut bit_identical = reference.trees() == kernel.trees()
-        && reference.predict_batch(&probes) == kernel.predict_batch(&probes);
+        && probes
+            .iter()
+            .all(|x| reference.predict(x).to_bits() == kernel.predict(x).to_bits());
     // The incremental path must agree too: replace the stalest trees on a
     // fresh batch through each backend and re-compare.
     let mut extended = data.clone();
@@ -494,7 +495,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         "sequential predict".into(),
         fnum(tp.seq_rows_per_s, 1),
     ]);
-    t.row(vec!["predict_batch".into(), fnum(tp.batch_rows_per_s, 1)]);
+    t.row(vec!["batched predict".into(), fnum(tp.batch_rows_per_s, 1)]);
     result.table(format!(
         "(c) prediction throughput, {} rows, {} thread(s)\n{}",
         tp.rows,
@@ -502,7 +503,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         t.render()
     ));
     result.note(format!(
-        "predict_batch speedup {:.2}x over sequential ({} threads), bit-identical: {}",
+        "batched predict speedup {:.2}x over sequential ({} threads), bit-identical: {}",
         tp.speedup, tp.threads, tp.bitwise_equal
     ));
 

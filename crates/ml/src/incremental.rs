@@ -245,41 +245,6 @@ impl IncrementalModel {
         }
     }
 
-    /// Predict many rows at once. For IRFR this dispatches to the forest's
-    /// tree-parallel [`RandomForest::predict_batch`], whose results are
-    /// bit-identical to per-row [`predict`](Self::predict); the other
-    /// families fall back to a per-row loop (their predictions are cheap
-    /// enough that batching buys nothing).
-    pub fn predict_batch(&self, rows: &[Vec<f64>]) -> Vec<f64> {
-        match &self.inner {
-            Inner::Irfr(Some(f)) => f.predict_batch(rows),
-            _ => rows.iter().map(|x| self.predict(x)).collect(),
-        }
-    }
-
-    /// Predict `n_rows` rows stored contiguously row-major in `data`
-    /// (`data.len() == n_rows * dim`) — the allocation-free batch entry
-    /// point. For IRFR this reaches the forest's flat inference kernel
-    /// directly ([`RandomForest::predict_batch_rows`]); other families
-    /// loop over the row slices. Bit-identical to per-row
-    /// [`predict`](Self::predict) in every case.
-    pub fn predict_batch_rows(&self, data: &[f64], n_rows: usize) -> Vec<f64> {
-        assert_eq!(
-            data.len(),
-            n_rows * self.params.dim,
-            "row-major batch length mismatch"
-        );
-        match &self.inner {
-            Inner::Irfr(Some(f)) => f.predict_batch_rows(data, n_rows),
-            _ => {
-                let dim = self.params.dim;
-                (0..n_rows)
-                    .map(|i| self.predict(&data[i * dim..(i + 1) * dim]))
-                    .collect()
-            }
-        }
-    }
-
     /// The underlying forest (IRFR only, after the first fit) — exposed so
     /// the kernel-equivalence tests can compare fitted trees directly.
     pub fn forest(&self) -> Option<&RandomForest> {
@@ -402,20 +367,6 @@ mod tests {
         m.update(&gen(100, 14, 0.0));
         assert_eq!(m.buffer.data.len(), 150);
         assert_eq!(m.samples_seen(), 200);
-    }
-
-    #[test]
-    fn predict_batch_matches_sequential_for_all_kinds() {
-        let train = gen(300, 20, 0.0);
-        let rows: Vec<Vec<f64>> = (0..40).map(|i| vec![i as f64 * 0.25, 3.0]).collect();
-        for kind in ModelKind::ALL {
-            let mut m = IncrementalModel::new(IncrementalParams::new(kind, 2, 7));
-            m.bootstrap(&train);
-            // Drive an incremental update so IRFR is in post-refresh state.
-            m.update(&gen(100, 21, 0.0));
-            let seq: Vec<f64> = rows.iter().map(|x| m.predict(x)).collect();
-            assert_eq!(m.predict_batch(&rows), seq, "{}", kind.name());
-        }
     }
 
     #[test]

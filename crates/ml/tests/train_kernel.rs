@@ -134,8 +134,8 @@ fn forest_backends_bit_identical() {
         let probes: Vec<Vec<f64>> = (0..24)
             .map(|i| corpus(1, 32, seed + i).row(0).to_vec())
             .collect();
-        let a = kernel.predict_batch(&probes);
-        let b = reference.predict_batch(&probes);
+        let a: Vec<f64> = probes.iter().map(|x| kernel.predict(x)).collect();
+        let b: Vec<f64> = probes.iter().map(|x| reference.predict(x)).collect();
         assert_eq!(a, b, "seed {seed}");
         assert!(a.iter().all(|v| v.is_finite()));
     }
@@ -169,8 +169,8 @@ fn incremental_lifecycle_bit_identical() {
                 reference.forest().unwrap().trees(),
                 "seed {seed}, step {step}"
             );
-            let a = kernel.predict_batch(&probes);
-            let b = reference.predict_batch(&probes);
+            let a: Vec<f64> = probes.iter().map(|x| kernel.predict(x)).collect();
+            let b: Vec<f64> = probes.iter().map(|x| reference.predict(x)).collect();
             assert_eq!(a, b, "seed {seed}, step {step}");
         }
     }

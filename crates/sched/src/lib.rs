@@ -43,10 +43,11 @@
 //!   (`GsightPredictor::predict_with_scratch`) instead of allocating a
 //!   fresh `32nS + 2n` vector per call.
 //! * [`reschedule`]'s SLA check gathers all scenario evaluations of one
-//!   hypothetical move into a single `GsightPredictor::predict_batch` call
-//!   and skips SLA entries with no instance on the donor or receiver
-//!   server — the move cannot change their colocation, so their satisfied
-//!   prediction stands. Plans are unchanged (batch prediction is
+//!   hypothetical move into a single
+//!   `GsightPredictor::predict_batch_with_scratch` call and skips SLA
+//!   entries with no instance on the donor or receiver server — the move
+//!   cannot change their colocation, so their satisfied prediction
+//!   stands. Plans are unchanged (batch prediction is
 //!   bit-identical to sequential) while strictly fewer scenario
 //!   evaluations are spent whenever an SLA workload sits away from the
 //!   move.
@@ -59,7 +60,7 @@ pub mod reschedule;
 
 pub use binary_search::{binary_search_placement, BinarySearchOutcome, PlacementError};
 pub use hierarchical::{contiguous_racks, hierarchical_placement, HierarchicalOutcome, Rack};
-pub use overhead::{DecisionTimer, OverheadBreakdown};
+pub use overhead::OverheadBreakdown;
 pub use placer::{GsightPlacer, PythiaPlacer, SlaSpec, WorkloadEntry};
 pub use reschedule::{
     apply_plan, apply_plan_checked, plan_consolidation, plan_drain, Migration, PlanError,

@@ -16,9 +16,9 @@
 //! SLA-bearing workload. Two optimizations cut that cost:
 //!
 //! 1. **Batching** — all per-entry scenarios of one move are gathered into
-//!    a single [`GsightPredictor::predict_batch`] call, which featurizes
-//!    rows in parallel and runs the forest tree-major over the whole batch
-//!    (bit-identical to per-row `predict`).
+//!    a single [`GsightPredictor::predict_batch_with_scratch`] call, which
+//!    featurizes every row into one reused buffer (bit-identical to
+//!    per-row `predict`).
 //! 2. **Skipping** — under the spatial-overlap interference model, a move
 //!    only changes colocation on the donor and receiver servers; an SLA
 //!    entry with no instance on either server keeps its overlap pattern,
@@ -58,8 +58,8 @@ pub struct ReschedulePlan {
     /// Servers left empty if the plan is applied.
     pub freed_servers: Vec<usize>,
     /// Predictor scenario evaluations spent building the plan (rows fed to
-    /// [`GsightPredictor::predict_batch`], equivalent to single-scenario
-    /// `predict` calls).
+    /// [`GsightPredictor::predict_batch_with_scratch`], equivalent to
+    /// single-scenario `predict` calls).
     pub predictor_calls: usize,
 }
 
@@ -106,13 +106,13 @@ fn colo_views(
 }
 
 /// Check every SLA under a hypothetical placement, batching all scenario
-/// evaluations of the move into one `predict_batch` call.
+/// evaluations of the move into one `predict_batch_with_scratch` call.
 ///
 /// When `moved` is set, SLA entries with no instance on the donor or
 /// receiver server are skipped: the move does not change colocation on any
 /// server they occupy, so their previously satisfied prediction stands.
 ///
-/// `row_scratch` is the reusable row-major featurization buffer passed to
+/// `row_scratch` is the reusable featurization buffer passed to
 /// [`GsightPredictor::predict_batch_with_scratch`]; planners allocate it
 /// once and reuse it across every probed move.
 fn slas_hold(
