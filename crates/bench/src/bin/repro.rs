@@ -279,15 +279,6 @@ fn main() {
                 .field("metrics", metrics),
         );
     }
-    // Headline perf section: sequential vs batched predictor throughput on
-    // the paper-shaped model (independent of which experiments were
-    // selected, so perf trackers can always key on it).
-    let tp = experiments::fig14::predict_throughput(cli.opts.quick);
-    println!(
-        "predict throughput: {:.0} rows/s sequential, {:.0} rows/s batched \
-         ({:.2}x, {} thread(s), bit-identical: {})",
-        tp.seq_rows_per_s, tp.batch_rows_per_s, tp.speedup, tp.threads, tp.bitwise_equal
-    );
     // Training-kernel throughput: presorted column-major kernel vs the
     // exhaustive reference split search, same forest from the same seed.
     let tt = experiments::fig14::train_throughput(cli.opts.quick);
@@ -331,16 +322,6 @@ fn main() {
     let bench = Json::obj()
         .field("mode", if cli.opts.quick { "quick" } else { "full" })
         .field("total_wall_s", suite_start.elapsed().as_secs_f64())
-        .field(
-            "predict_throughput",
-            Json::obj()
-                .field("rows", tp.rows)
-                .field("seq_rows_per_s", tp.seq_rows_per_s)
-                .field("batch_rows_per_s", tp.batch_rows_per_s)
-                .field("speedup", tp.speedup)
-                .field("threads", tp.threads)
-                .field("bitwise_equal", tp.bitwise_equal),
-        )
         .field(
             "train_throughput",
             Json::obj()

@@ -22,9 +22,6 @@
 //!   scenarios, one model per QoS target (IPC, tail latency, JCT).
 //! * [`sla`] — the latency↔IPC correlation curve (Fig. 7) used to convert
 //!   a latency SLA into an IPC threshold for scheduling (§6.3).
-//! * [`compress`] — PCA-compressed prediction, the scalability extension
-//!   the paper proposes as future work (§6.4).
-
 //!
 //! # Examples
 //!
@@ -37,14 +34,12 @@
 //! ```
 
 pub mod coding;
-pub mod compress;
 pub mod features;
 pub mod predictor;
 pub mod scenario;
 pub mod sla;
 
 pub use coding::{interference_kind, CodingConfig, InterferenceKind};
-pub use compress::CompressedPredictor;
 pub use features::{feature_dim, featurize, featurize_into};
 pub use predictor::{GsightConfig, GsightPredictor, QosTarget};
 pub use scenario::{ColoWorkload, Scenario};

@@ -16,7 +16,6 @@ use crate::features::{feature_dim, featurize, featurize_into, metric_of_feature}
 use crate::scenario::Scenario;
 use metricsd::{Metric, NUM_SELECTED};
 use mlcore::{Dataset, IncrementalModel, IncrementalParams, ModelKind};
-use simcore::par;
 
 /// Which QoS value the predictor outputs for the target workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -67,14 +66,6 @@ impl GsightConfig {
         }
     }
 }
-
-/// Smallest batch [`GsightPredictor::predict_batch_with_scratch`] fans out
-/// row-parallel. Below it, waking worker threads costs more than the rows
-/// save: on a 2-core host with 2 workers, interleaved medians put the
-/// row-parallel path at 0.2–0.3× the sequential loop's speed at 12 rows,
-/// 0.5–0.7× at 64 and 0.6–1.15× at 256; it first wins some runs at 512
-/// and wins them all at 2048 (DESIGN.md §15).
-const PAR_BATCH_ROWS: usize = 512;
 
 /// The predictor.
 pub struct GsightPredictor {
@@ -127,56 +118,6 @@ impl GsightPredictor {
     pub fn predict_with_scratch(&self, scenario: &Scenario, scratch: &mut Vec<f64>) -> f64 {
         featurize_into(scenario, &self.config.coding, scratch);
         self.model.predict(scratch)
-    }
-
-    /// Predict many scenarios in one call, reusing a caller-owned
-    /// featurization buffer — the allocation-free path for schedulers that
-    /// batch-probe repeatedly (e.g. consolidation's per-move SLA holds).
-    ///
-    /// Every row fuses featurize → [`IncrementalModel::predict`], so the
-    /// row is cache-hot when the forest reads it and no per-row feature
-    /// vector is allocated. Batches of at least 512 rows on multi-core
-    /// hosts split into contiguous runs predicted row-parallel, each worker
-    /// with a private scratch (the caller's buffer is untouched on that
-    /// path). Results are bit-identical to calling
-    /// [`predict`](Self::predict) on each scenario in order, at any thread
-    /// count: rows are independent and each row's tree-order reduction is
-    /// unchanged.
-    pub fn predict_batch_with_scratch(
-        &self,
-        scenarios: &[Scenario],
-        rows: &mut Vec<f64>,
-    ) -> Vec<f64> {
-        self.predict_rows(scenarios, rows, par::available_workers())
-    }
-
-    /// [`predict_batch_with_scratch`](Self::predict_batch_with_scratch)
-    /// with an explicit worker count, so tests can pin the row-parallel
-    /// branch on any host.
-    fn predict_rows(
-        &self,
-        scenarios: &[Scenario],
-        rows: &mut Vec<f64>,
-        workers: usize,
-    ) -> Vec<f64> {
-        if workers > 1 && scenarios.len() >= PAR_BATCH_ROWS {
-            // A few runs per worker so the self-scheduling map can even out
-            // scenarios of different size; outputs rejoin in input order.
-            let run = scenarios.len().div_ceil(4 * workers);
-            let runs: Vec<&[Scenario]> = scenarios.chunks(run).collect();
-            par::par_map_workers(runs, workers, |run| {
-                let mut scratch = Vec::new();
-                run.iter()
-                    .map(|s| self.predict_with_scratch(s, &mut scratch))
-                    .collect::<Vec<f64>>()
-            })
-            .concat()
-        } else {
-            scenarios
-                .iter()
-                .map(|s| self.predict_with_scratch(s, rows))
-                .collect()
-        }
     }
 
     /// Record an observed outcome; fires an incremental update every
@@ -399,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_batch_and_scratch_bitwise_equal_predict() {
+    fn predict_with_scratch_bitwise_equals_predict() {
         let mut rng = SimRng::new(6);
         let train: Vec<_> = (0..600).map(|_| sample(&mut rng)).collect();
         let mut p = GsightPredictor::new(small_config(QosTarget::Ipc));
@@ -409,35 +350,11 @@ mod tests {
         let probes: Vec<Scenario> = (0..25).map(|_| sample(&mut rng).0).collect();
         let seq: Vec<f64> = probes.iter().map(|s| p.predict(s)).collect();
         let mut scratch = Vec::new();
-        assert_eq!(p.predict_batch_with_scratch(&probes, &mut scratch), seq);
         let scratched: Vec<f64> = probes
             .iter()
             .map(|s| p.predict_with_scratch(s, &mut scratch))
             .collect();
         assert_eq!(scratched, seq);
-        assert!(p.predict_batch_with_scratch(&[], &mut scratch).is_empty());
-    }
-
-    #[test]
-    fn row_parallel_batch_bitwise_equals_predict() {
-        let mut rng = SimRng::new(8);
-        let train: Vec<_> = (0..400).map(|_| sample(&mut rng)).collect();
-        let mut p = GsightPredictor::new(small_config(QosTarget::Ipc));
-        p.bootstrap(&train);
-        p.update_batch(&(0..60).map(|_| sample(&mut rng)).collect::<Vec<_>>());
-        // Above the fan-out cutoff, with a ragged last run.
-        let probes: Vec<Scenario> = (0..PAR_BATCH_ROWS + 37)
-            .map(|_| sample(&mut rng).0)
-            .collect();
-        let seq: Vec<f64> = probes.iter().map(|s| p.predict(s)).collect();
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let mut scratch = Vec::new();
-        for workers in [1, 2, 3, 8] {
-            let batch = p.predict_rows(&probes, &mut scratch, workers);
-            assert_eq!(bits(&batch), bits(&seq), "workers = {workers}");
-        }
-        let batch = p.predict_batch_with_scratch(&probes, &mut scratch);
-        assert_eq!(bits(&batch), bits(&seq));
     }
 
     #[test]

@@ -5,10 +5,7 @@
 //!    block, or the whole per-function spatial structure (merged coding)
 //!    and measure the accuracy cost of each.
 //! 2. **Forest size** — IRFR error vs number of trees.
-//! 3. **PCA compression** — accuracy and inference latency of the
-//!    [`gsight::CompressedPredictor`] at several component counts versus
-//!    the full 2580-dimensional coding.
-//! 4. **CAT/MBA partitioning** — the contention model's shared vs
+//! 3. **CAT/MBA partitioning** — the contention model's shared vs
 //!    partitioned slowdowns for the victim/aggressor mixes of §1, showing
 //!    why static partitioning suits neither high-density serverless.
 
@@ -19,8 +16,8 @@ use cluster::{
     Partitioning, Sensitivity, ServerSpec,
 };
 use gsight::features::{featurize, metric_of_feature};
-use gsight::{CodingConfig, CompressedPredictor, GsightConfig, QosTarget, Scenario};
-use mlcore::{mape, Dataset, ForestParams, ModelKind, RandomForest};
+use gsight::{CodingConfig, QosTarget, Scenario};
+use mlcore::{mape, Dataset, ForestParams, RandomForest};
 use simcore::rng::seed_stream;
 use simcore::table::{fnum, TextTable};
 
@@ -227,40 +224,7 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
     }
     result.table(format!("(2) forest-size ablation\n{}", t.render()));
 
-    // ---- 3. PCA compression ----
-    let mut t = TextTable::new(vec!["components", "IPC error", "mean predict (us)"]);
-    for k in [8usize, 32, 128] {
-        let mut config = GsightConfig::paper(QosTarget::Ipc, SEED);
-        config.kind = ModelKind::Irfr;
-        let mut p = CompressedPredictor::new(config, k);
-        p.bootstrap(&train);
-        let start = std::time::Instant::now();
-        let preds: Vec<f64> = test.iter().map(|(s, _)| p.predict(s)).collect();
-        let us = start.elapsed().as_micros() as f64 / test.len().max(1) as f64;
-        let actuals: Vec<f64> = test.iter().map(|(_, y)| *y).collect();
-        // PCA fits at most one component per training row.
-        let fitted = p.compressed_dim();
-        t.row(vec![
-            if fitted == k {
-                format!("{k}")
-            } else {
-                format!("{fitted} (of {k})")
-            },
-            fnum(mape(&preds, &actuals) * 100.0, 2) + "%",
-            fnum(us, 1),
-        ]);
-    }
-    t.row(vec![
-        format!("full ({dim})"),
-        fnum(full_err * 100.0, 2) + "%",
-        "-".to_string(),
-    ]);
-    result.table(format!(
-        "(3) PCA compression (paper SS6.4 future work)\n{}",
-        t.render()
-    ));
-
-    // ---- 4. partitioning study ----
+    // ---- 3. partitioning study ----
     let mut t = TextTable::new(vec![
         "mix",
         "shared slowdown",
@@ -270,14 +234,14 @@ pub fn run(opts: &RunOpts) -> ExperimentResult {
         t.row(vec![name, fnum(shared, 2), fnum(partitioned, 2)]);
     }
     result.table(format!(
-        "(4) CAT/MBA partitioning counterfactual (paper SS1)\n{}",
+        "(3) CAT/MBA partitioning counterfactual (paper SS1)\n{}",
         t.render()
     ));
     result.note(
         "partitioning shields light victims but penalises anything whose demand \
          exceeds its slice — the capacity-waste argument of the paper's introduction",
     );
-    result.metric("pca_full_dim_err", full_err);
+    result.metric("full_coding_err", full_err);
     result
 }
 

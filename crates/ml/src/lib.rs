@@ -23,8 +23,6 @@
 //! * [`mlp`] — a one-hidden-layer perceptron with ReLU, SGD backprop.
 //! * [`incremental`] — the online-update wrappers (IRFR, IKNN, ILR, ISVR,
 //!   IMLP): a bounded sample buffer plus model-specific `partial_fit`.
-//! * [`pca`] — principal component analysis (power iteration), the
-//!   dimensionality-reduction extension the paper proposes as future work.
 //! * [`dataset`] — row-major datasets, train/test splitting, error metrics
 //!   (the paper's prediction error `|P̂ − P| / P`), and feature scaling.
 //!
@@ -56,7 +54,6 @@ pub mod incremental;
 pub mod knn;
 pub mod linear;
 pub mod mlp;
-pub mod pca;
 pub mod reference;
 pub mod svr;
 pub mod tree;
@@ -68,6 +65,5 @@ pub use incremental::{IncrementalModel, IncrementalParams, ModelKind};
 pub use knn::KnnRegressor;
 pub use linear::RidgeSgd;
 pub use mlp::MlpRegressor;
-pub use pca::Pca;
 pub use svr::LinearSvr;
 pub use tree::{RegressionTree, TreeParams};

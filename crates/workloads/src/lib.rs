@@ -15,17 +15,9 @@
 //!   float ops, feature generation, LogisticRegression and KMeans.
 //! * [`socialnetwork`] / [`ecommerce`] — the two latency-sensitive
 //!   applications with their paper SLAs (267 ms and 88 ms p99).
-//! * [`websearch`] — Table 1's third LS example (serverless information
-//!   retrieval) with parallel index-shard fan-out.
 //! * [`azure_trace`] — diurnal/weekly invocation-rate generation matching
 //!   the published Azure characterization.
 //! * [`loadgen`] — the open-loop load generator of paper §6.4.
-//! * [`trace_io`] — CSV import/export of invocation traces, so a real
-//!   (e.g. Azure) trace can be plugged in where this reproduction uses its
-//!   synthetic equivalent.
-//! * [`population`] — synthetic function populations drawn from the Azure
-//!   duration/memory distributions, for high-density scale tests.
-
 //!
 //! # Examples
 //!
@@ -48,10 +40,7 @@ pub mod ecommerce;
 pub mod function;
 pub mod functionbench;
 pub mod loadgen;
-pub mod population;
 pub mod socialnetwork;
-pub mod trace_io;
-pub mod websearch;
 
 pub use class::WorkloadClass;
 pub use dag::{CallGraph, CallKind, NodeId};
